@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ParameterError, ProjectionError
-from .rotations import rodrigues, rodrigues_jacobian
+from .rotations import rodrigues_batch, rodrigues_jacobian, rodrigues_jacobian_batch
 
 _WEIGHT_TOL = 1e-6
 _DEGENERATE_AREA = 1e-12
@@ -200,9 +200,7 @@ def _forward_kinematics(model, params):
     rest = model._rest_joints * scale
     parents = model.joint_parents
     J = model.num_joints
-    R = np.empty((J, 3, 3))
-    for j in range(J):
-        R[j] = rodrigues(params.joint_rotations[j])
+    R = rodrigues_batch(params.joint_rotations)
     G = np.empty((J, 3, 3))
     p = np.empty((J, 3))
     for j in model._topo:
@@ -238,9 +236,58 @@ def pose_mesh(model, params):
     return out
 
 
+def pose_mesh_vjp(model, params, grad_verts):
+    """Gradient over the packed parameter vector [rotations, translation,
+    shape] of a scalar whose gradient w.r.t. the posed vertices is
+    grad_verts (V, 3).
+
+    Reverse mode: grad_verts is pulled back through LBS, then through
+    forward kinematics in reverse topological order, then through the
+    Rodrigues Jacobians; pose_mesh_with_jacobian is its dense oracle.
+    """
+    _check_dims(model, params)
+    gv = np.asarray(grad_verts, dtype=float)
+    if gv.shape != (model.num_vertices, 3):
+        raise ParameterError("grad_verts must be (V, 3)")
+    _, rest, R, G, _ = _forward_kinematics(model, params)
+    parents = model.joint_parents
+    W = model.skinning_weights
+    J = model.num_joints
+    scale = 1.0 + params.shape
+
+    # LBS: verts = sum_j w_vj (G_j (template_v * scale - rest_j) + p_j)
+    g_p = W.T @ gv                                         # (J, 3)
+    outer = (gv[:, :, None] * model.template_vertices[:, None, :]).reshape(-1, 9)
+    g_template = (W.T @ outer).reshape(J, 3, 3)            # sum_v w_vj g_v t_v^T
+    g_G = g_template * scale - g_p[:, :, None] * rest[:, None, :]
+    g_rest = -np.einsum("jab,ja->jb", G, g_p)
+    g_shape = np.einsum("jak,jak->k", G, g_template)
+
+    # FK: G_j = G_par R_j, p_j = p_par + G_par (rest_j - rest_par)
+    g_R = np.empty((J, 3, 3))
+    for j in model._topo[::-1]:
+        par = parents[j]
+        if par < 0:  # G_root = R_root, p_root = rest_root + translation
+            g_R[j] = g_G[j]
+            g_rest[j] += g_p[j]
+            continue
+        g_R[j] = G[par].T @ g_G[j]
+        g_G[par] += g_G[j] @ R[j].T + np.outer(g_p[j], rest[j] - rest[par])
+        g_p[par] += g_p[j]
+        g_offset = G[par].T @ g_p[j]
+        g_rest[j] += g_offset
+        g_rest[par] -= g_offset
+    g_shape += (g_rest * model._rest_joints).sum(axis=0)
+
+    g_rot = np.einsum("jab,jiab->ji", g_R,
+                      rodrigues_jacobian_batch(params.joint_rotations))
+    return np.concatenate([g_rot.ravel(), g_p[model._topo[0]], g_shape])
+
+
 def pose_mesh_with_jacobian(model, params):
-    """Posed vertices plus the Jacobian (V, 3, P) w.r.t. the packed
-    parameter vector [rotations, translation, shape]."""
+    """Posed vertices plus the dense Jacobian (V, 3, P) w.r.t. the packed
+    parameter vector [rotations, translation, shape]: the test oracle of
+    pose_mesh_vjp."""
     _check_dims(model, params)
     v_scaled, rest, R, G, p = _forward_kinematics(model, params)
     parents = model.joint_parents
@@ -316,13 +363,6 @@ def joint_positions(model, params):
     return model.joint_regressor @ pose_mesh(model, params)
 
 
-def joint_positions_with_jacobian(model, params):
-    verts, jac = pose_mesh_with_jacobian(model, params)
-    joints = model.joint_regressor @ verts
-    jjac = np.tensordot(model.joint_regressor, jac, axes=(1, 0))  # (J, 3, P)
-    return joints, jjac
-
-
 @dataclass(frozen=True)
 class Facet:
     center: np.ndarray
@@ -367,8 +407,45 @@ def facet_geometry(verts, faces):
     return FacetGeometry(centers, cross / norms[:, None])
 
 
+def facet_normal_vjp(verts, faces, grad_normals):
+    """Gradient w.r.t. the vertices (V, 3) of a scalar whose gradient
+    w.r.t. the unit facet normals is grad_normals (F, 3).
+
+    With n = m / |m| and m = (b - a) x (c - a), the normal's gradient g
+    maps to g_m = (g - n (n . g)) / |m|, then to the corners through the
+    cross product. Only faces with a nonzero gradient row are visited;
+    facet_normal_vertex_jacobian is its dense oracle.
+    """
+    verts = np.asarray(verts, dtype=float)
+    faces = np.asarray(faces, dtype=int)
+    grad_normals = np.asarray(grad_normals, dtype=float)
+    out = np.zeros_like(verts)
+    face_ids = np.flatnonzero(np.any(grad_normals != 0.0, axis=1))
+    if face_ids.size == 0:
+        return out
+    tri = faces[face_ids]
+    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
+    u = b - a
+    v = c - a
+    m = np.cross(u, v)
+    mn = np.linalg.norm(m, axis=1)
+    bad = face_ids[mn < _DEGENERATE_AREA]
+    if bad.size:
+        raise GeometryError(f"degenerate faces in normal gradient: {bad[:8].tolist()}")
+    n = m / mn[:, None]
+    g = grad_normals[face_ids]
+    g_m = (g - n * (n * g).sum(axis=1, keepdims=True)) / mn[:, None]
+    g_u = np.cross(v, g_m)
+    g_v = np.cross(g_m, u)
+    np.add.at(out, tri[:, 0], -g_u - g_v)
+    np.add.at(out, tri[:, 1], g_u)
+    np.add.at(out, tri[:, 2], g_v)
+    return out
+
+
 def facet_normal_vertex_jacobian(verts, faces, face_ids):
-    """d(normal)/d(corner vertices) for the selected faces.
+    """d(normal)/d(corner vertices) for the selected faces: the dense
+    oracle of facet_normal_vjp.
 
     Returns (len(face_ids), 3, 3, 3): [f, corner, normal_component, vertex_component].
     """

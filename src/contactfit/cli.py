@@ -366,9 +366,6 @@ def cli_dispatch(argv):
         return e.code if e.code is not None else 0
     try:
         return args.func(args)
-    except CodecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ContactFitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

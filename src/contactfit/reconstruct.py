@@ -5,6 +5,13 @@ sphere-proxy self-collision penalty and the contact consistency terms.
 Descent is plain gradient descent with Armijo backtracking; the
 nearest-neighbour matches of the contact terms are recomputed at the start
 of every evaluation and frozen inside each gradient (ICP-style).
+
+One private function evaluates the objective for the optimizer, its
+breakdown and the finite-difference oracle. Its gradient is reverse mode:
+every term's gradient w.r.t. the posed vertices is summed and pulled back
+once through LBS, forward kinematics and the Rodrigues Jacobians
+(body.pose_mesh_vjp). The dense vertex Jacobian (pose_mesh_with_jacobian)
+and the per-face normal Jacobians are only test oracles.
 """
 
 import warnings
@@ -12,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import (PoseParams, facet_geometry, facet_normal_vertex_jacobian,
-                   pose_mesh, pose_mesh_with_jacobian)
+from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
+                   pose_mesh_vjp)
 from .contact_geometry import (loss_distance, loss_distance_frozen,
                                loss_normal)
-from .errors import OptimizationError, ParameterError
+from .errors import GeometryError, OptimizationError, ParameterError
 from .regions import region_facets
 
 
@@ -150,34 +157,30 @@ def loss_collision(centers, region_map, proxies, sig=None):
     return value, grad
 
 
-def _projection_terms(model, verts, vjac, camera, keypoints, joint_ids):
-    """Projection loss from precomputed posed vertices (and optionally the
-    vertex jacobian). Returns (value, grad-or-None)."""
+def _projection_terms(model, verts, camera, keypoints, joint_ids, want_grad):
+    """Projection loss from precomputed posed vertices. Returns (value,
+    gradient w.r.t. the posed vertices (V, 3), or None without want_grad)."""
     joints = model.joint_regressor @ verts
     cam_pts = camera.transform(joints[joint_ids])
     visible = cam_pts[:, 2] > 0.0
     if not visible.all():
         warnings.warn(f"{int((~visible).sum())} keypoint joint(s) behind camera; "
                       f"masked out", stacklevel=3)
+    grad = np.zeros((model.num_vertices, 3)) if want_grad else None
     if not visible.any():
-        return 0.0, (np.zeros(model.num_params) if vjac is not None else None)
+        return 0.0, grad
 
     k_vis = int(visible.sum())
-    value = 0.0
-    grad = np.zeros(model.num_params) if vjac is not None else None
-    flat_vjac = vjac.reshape(model.num_vertices, -1) if vjac is not None else None
-    for row in np.flatnonzero(visible):
-        x, y, z = cam_pts[row]
-        u = camera.fx * x / z + camera.cx
-        v = camera.fy * y / z + camera.cy
-        res = np.array([u, v]) - keypoints[row]
-        value += float(res @ res)
-        if vjac is not None:
-            duv_dcam = np.array([[camera.fx / z, 0.0, -camera.fx * x / z**2],
-                                 [0.0, camera.fy / z, -camera.fy * y / z**2]])
-            dl_dworld = (2.0 / k_vis) * res @ duv_dcam @ camera.rotation
-            jjac = model.joint_regressor[joint_ids[row]] @ flat_vjac
-            grad += dl_dworld @ jjac.reshape(3, model.num_params)
+    x, y, z = cam_pts[visible].T
+    res = np.stack([camera.fx * x / z + camera.cx,
+                    camera.fy * y / z + camera.cy], axis=1) - keypoints[visible]
+    value = float((res * res).sum())
+    if want_grad:
+        # d(mean squared residual)/d(camera point), then back to world
+        gu = (2.0 / k_vis) * camera.fx * res[:, 0] / z
+        gv = (2.0 / k_vis) * camera.fy * res[:, 1] / z
+        d_cam = np.stack([gu, gv, -(gu * x + gv * y) / z], axis=1)
+        grad = model.joint_regressor[joint_ids[visible]].T @ (d_cam @ camera.rotation)
     return value / k_vis, grad
 
 
@@ -198,12 +201,12 @@ def loss_projection(model, params, camera, keypoints, keypoint_joints,
     if len(keypoints) > model.num_joints:
         raise ParameterError("more keypoints than joints")
 
-    if with_jacobian:
-        verts, vjac = pose_mesh_with_jacobian(model, params)
-        return _projection_terms(model, verts, vjac, camera, keypoints, joint_ids)
     verts = pose_mesh(model, params)
-    value, _ = _projection_terms(model, verts, None, camera, keypoints, joint_ids)
-    return value
+    value, grad_verts = _projection_terms(model, verts, camera, keypoints,
+                                          joint_ids, with_jacobian)
+    if not with_jacobian:
+        return value
+    return value, pose_mesh_vjp(model, params, grad_verts)
 
 
 def loss_regularizer(params, init, lambda_pose=1.0, lambda_shape=1.0,
@@ -256,30 +259,50 @@ def _scatter_centers_to_vertices(grad_centers, faces, num_vertices):
     return grad_verts
 
 
-def evaluate_breakdown(problem, params):
-    """Per-term values at params with fresh contact matches."""
+def _objective(problem, params, matches=None, want_grad=False):
+    """The weighted objective at params: (LossBreakdown, MatchSet, gradient
+    over packed params or None).
+
+    With matches=None the contact matches are computed fresh and l_d is
+    their phi distance; given matches are frozen and l_d is their frozen
+    distance sum. The gradient is always the frozen-match one. It is
+    computed in reverse mode: each term's gradient w.r.t. the posed
+    vertices is summed, then pulled back once through the body.
+    """
+    model = problem.model
     w = problem.weights
-    verts = pose_mesh(problem.model, params)
-    geom = facet_geometry(verts, problem.model.faces)
-    l_s, _ = _projection_terms(problem.model, verts, None, problem.camera,
-                               problem.keypoints, problem.keypoint_joints)
-    l_psr = loss_regularizer(params, problem.initial_params,
-                             w.lambda_pose, w.lambda_shape, with_jacobian=False)
-    l_col, _ = loss_collision(geom.centers, problem.region_map,
-                              problem.proxies, problem.signature)
-    l_d, matches, _ = loss_distance(geom.centers, problem.signature,
-                                    problem.region_map,
-                                    mode=problem.selection_mode,
-                                    k=problem.selection_k)
-    if matches.entries:
-        l_n, _ = loss_normal(geom.normals, matches)
+    verts = pose_mesh(model, params)
+    geom = facet_geometry(verts, model.faces)
+    l_s, g_s = _projection_terms(model, verts, problem.camera, problem.keypoints,
+                                 problem.keypoint_joints, want_grad)
+    l_psr, g_psr = loss_regularizer(params, problem.initial_params,
+                                    w.lambda_pose, w.lambda_shape)
+    l_col, g_col = loss_collision(geom.centers, problem.region_map,
+                                  problem.proxies, problem.signature)
+    if matches is None:
+        l_d, matches, _ = loss_distance(geom.centers, problem.signature,
+                                        problem.region_map,
+                                        mode=problem.selection_mode,
+                                        k=problem.selection_k)
+        g_d = loss_distance_frozen(geom.centers, matches)[1] if want_grad else None
     else:
-        l_n = 0.0
+        l_d, g_d = loss_distance_frozen(geom.centers, matches)
+    l_n, g_n = loss_normal(geom.normals, matches) if matches.entries else (0.0, None)
     total = (w.lambda_s * l_s + w.lambda_psr * l_psr + w.lambda_col * l_col
              + w.lambda_d * l_d + w.lambda_n * l_n)
     breakdown = LossBreakdown(l_s, l_psr, l_col, l_d, l_n, total)
     _check_finite(breakdown)
-    return breakdown, matches
+    if not want_grad:
+        return breakdown, matches, None
+
+    grad_verts = _scatter_centers_to_vertices(
+        w.lambda_col * g_col + w.lambda_d * g_d, model.faces, model.num_vertices)
+    grad_verts += w.lambda_s * g_s
+    if g_n is not None and w.lambda_n != 0.0:
+        grad_verts += facet_normal_vjp(verts, model.faces, w.lambda_n * g_n)
+    grad = pose_mesh_vjp(model, params, grad_verts)
+    grad += w.lambda_psr * g_psr
+    return breakdown, matches, grad
 
 
 def _check_finite(b):
@@ -288,41 +311,18 @@ def _check_finite(b):
             raise OptimizationError(f"loss term {name} is non-finite")
 
 
-def evaluate_gradient(problem, params):
-    """Weighted-total gradient over packed params, matches frozen inside."""
-    model = problem.model
-    w = problem.weights
-    verts, vjac = pose_mesh_with_jacobian(model, params)
-    geom = facet_geometry(verts, model.faces)
+def evaluate_breakdown(problem, params):
+    """Per-term values at params with fresh contact matches. Returns
+    (LossBreakdown, MatchSet)."""
+    breakdown, matches, _ = _objective(problem, params)
+    return breakdown, matches
 
-    _, g_s = _projection_terms(model, verts, vjac, problem.camera,
-                               problem.keypoints, problem.keypoint_joints)
-    _, g_psr = loss_regularizer(params, problem.initial_params,
-                                w.lambda_pose, w.lambda_shape)
-    _, g_col_centers = loss_collision(geom.centers, problem.region_map,
-                                      problem.proxies, problem.signature)
-    _, matches, _ = loss_distance(geom.centers, problem.signature,
-                                  problem.region_map,
-                                  mode=problem.selection_mode,
-                                  k=problem.selection_k)
-    _, g_d_centers = loss_distance_frozen(geom.centers, matches)
 
-    grad_verts = _scatter_centers_to_vertices(
-        w.lambda_col * g_col_centers + w.lambda_d * g_d_centers,
-        model.faces, model.num_vertices)
-
-    if matches.entries and w.lambda_n != 0.0:
-        _, g_n_normals = loss_normal(geom.normals, matches)
-        face_ids = np.flatnonzero(np.any(g_n_normals != 0.0, axis=1))
-        blocks = facet_normal_vertex_jacobian(verts, model.faces, face_ids)
-        for row, fid in enumerate(face_ids):
-            gn = w.lambda_n * g_n_normals[fid]
-            for corner in range(3):
-                grad_verts[model.faces[fid, corner]] += gn @ blocks[row, corner]
-
-    grad = np.einsum("vc,vcp->p", grad_verts, vjac)
-    grad += w.lambda_s * g_s + w.lambda_psr * g_psr
-    return grad
+def evaluate_gradient(problem, params, matches=None):
+    """Weighted-total gradient over packed params with the contact matches
+    frozen: the given ones (those evaluate_breakdown found at params), or
+    fresh ones when None."""
+    return _objective(problem, params, matches, want_grad=True)[2]
 
 
 def finite_difference_gradient(problem, params, step=None):
@@ -334,31 +334,12 @@ def finite_difference_gradient(problem, params, step=None):
     cheap).
     """
     model = problem.model
-    w = problem.weights
     step = problem.settings.fd_step if step is None else step
-    geom0 = facet_geometry(pose_mesh(model, params), model.faces)
-    _, matches, _ = loss_distance(geom0.centers, problem.signature,
-                                  problem.region_map,
-                                  mode=problem.selection_mode,
-                                  k=problem.selection_k)
+    _, matches, _ = _objective(problem, params)
 
     def frozen_total(x):
         p = PoseParams.from_vector(x, model.num_joints)
-        verts = pose_mesh(model, p)
-        geom = facet_geometry(verts, model.faces)
-        l_s, _ = _projection_terms(model, verts, None, problem.camera,
-                                   problem.keypoints, problem.keypoint_joints)
-        l_psr = loss_regularizer(p, problem.initial_params, w.lambda_pose,
-                                 w.lambda_shape, with_jacobian=False)
-        l_col, _ = loss_collision(geom.centers, problem.region_map,
-                                  problem.proxies, problem.signature)
-        l_d, _ = loss_distance_frozen(geom.centers, matches)
-        if matches.entries:
-            l_n, _ = loss_normal(geom.normals, matches)
-        else:
-            l_n = 0.0
-        return (w.lambda_s * l_s + w.lambda_psr * l_psr + w.lambda_col * l_col
-                + w.lambda_d * l_d + w.lambda_n * l_n)
+        return _objective(problem, p, matches)[0].total
 
     x0 = params.to_vector()
     grad = np.empty_like(x0)
@@ -383,12 +364,14 @@ def optimize(problem):
     settings = problem.settings
     x = problem.initial_params.to_vector()
     params = PoseParams.from_vector(x, model.num_joints)
-    breakdown, _ = evaluate_breakdown(problem, params)
+    breakdown, matches = evaluate_breakdown(problem, params)
     trace = [breakdown]
     alpha = settings.step_size
 
     for _ in range(settings.iterations):
-        grad = evaluate_gradient(problem, params)
+        # the matches evaluate_breakdown found at params are the ones a
+        # fresh gradient would recompute there
+        grad = evaluate_gradient(problem, params, matches)
         if not np.isfinite(grad).all():
             raise OptimizationError("gradient is non-finite")
         gnorm2 = float(grad @ grad)
@@ -400,8 +383,9 @@ def optimize(problem):
             x_new = x - a * grad
             try:
                 params_new = PoseParams.from_vector(x_new, model.num_joints)
-                breakdown_new, _ = evaluate_breakdown(problem, params_new)
-            except OptimizationError:
+                breakdown_new, matches_new = evaluate_breakdown(problem, params_new)
+            except (OptimizationError, GeometryError):
+                # a non-finite term or a degenerate facet: a shorter step
                 a *= 0.5
                 continue
             if breakdown_new.total <= breakdown.total - settings.armijo_c * a * gnorm2:
@@ -410,7 +394,7 @@ def optimize(problem):
             a *= 0.5
         if not accepted:
             break
-        x, params, breakdown = x_new, params_new, breakdown_new
+        x, params, breakdown, matches = x_new, params_new, breakdown_new, matches_new
         trace.append(breakdown)
         alpha = min(a * 4.0, settings.step_size)
 

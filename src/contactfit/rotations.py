@@ -57,6 +57,51 @@ def rodrigues_jacobian(rvec):
     return out
 
 
+# skew(e_i) for the unit vectors e_i, stacked (3, 3, 3)
+_BASIS_SKEW = np.array([skew(e) for e in np.eye(3)])
+
+
+def _batch_coefficients(rvecs):
+    """Per-row angle t, the skew matrices K (N, 3, 3) and K @ K, and the
+    small-angle mask of a stack of axis-angle vectors (N, 3)."""
+    rvecs = np.asarray(rvecs, dtype=float).reshape(-1, 3)
+    # a dot per row, like the 1-D np.linalg.norm of rodrigues(), so t agrees to the bit
+    t = np.sqrt((rvecs[:, None, :] @ rvecs[:, :, None])[:, 0, 0])
+    K = np.zeros((len(rvecs), 3, 3))
+    K[:, 0, 1], K[:, 0, 2] = -rvecs[:, 2], rvecs[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = rvecs[:, 2], -rvecs[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -rvecs[:, 1], rvecs[:, 0]
+    return rvecs, t, K, K @ K, t < _SMALL_ANGLE
+
+
+def rodrigues_batch(rvecs):
+    """rodrigues() of every row of an (N, 3) array: (N, 3, 3)."""
+    _, t, K, K2, small = _batch_coefficients(rvecs)
+    ts = np.where(small, 1.0, t)  # keeps the unused closed form finite
+    a = np.where(small, 1.0 - t * t / 6.0, np.sin(ts) / ts)
+    b = np.where(small, 0.5 - t * t / 24.0, (1.0 - np.cos(ts)) / (ts * ts))
+    return np.eye(3) + a[:, None, None] * K + b[:, None, None] * K2
+
+
+def rodrigues_jacobian_batch(rvecs):
+    """rodrigues_jacobian() of every row of an (N, 3) array: (N, 3, 3, 3),
+    entry [n, i] is dR_n/drvecs[n, i]."""
+    rvecs, t, K, K2, small = _batch_coefficients(rvecs)
+    ts = np.where(small, 1.0, t)
+    sin, cos = np.sin(ts), np.cos(ts)
+    a = np.where(small, 1.0, sin / ts)
+    b = np.where(small, 0.5, (1.0 - cos) / (ts * ts))
+    da = np.where(small[:, None], -rvecs / 3.0,
+                  rvecs * ((ts * cos - sin) / ts**3)[:, None])
+    db = np.where(small[:, None], -rvecs / 12.0,
+                  rvecs * ((ts * sin - 2.0 * (1.0 - cos)) / ts**4)[:, None])
+    EK = _BASIS_SKEW[None] @ K[:, None]  # (N, 3, 3, 3): E_i @ K_n
+    KE = K[:, None] @ _BASIS_SKEW[None]
+    return (da[:, :, None, None] * K[:, None] + a[:, None, None, None] * _BASIS_SKEW
+            + db[:, :, None, None] * K2[:, None]
+            + b[:, None, None, None] * (EK + KE))
+
+
 def rotation_between(a, b):
     """Axis-angle vector rotating unit direction a onto unit direction b."""
     a = np.asarray(a, dtype=float)
@@ -76,12 +121,6 @@ def rotation_between(a, b):
         return np.pi * axis / np.linalg.norm(axis)
     angle = np.arctan2(s, d)
     return angle * c / s
-
-
-def compose_axis_angle(first, second):
-    """Axis-angle of rodrigues(second) @ rodrigues(first)."""
-    R = rodrigues(second) @ rodrigues(first)
-    return axis_angle_from_matrix(R)
 
 
 def axis_angle_from_matrix(R):

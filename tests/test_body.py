@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from contactfit.body import (BodyModel, Camera, PoseParams, facet_geometry,
-                             facet_normal_vertex_jacobian, joint_positions,
-                             pose_mesh, pose_mesh_with_jacobian, project)
+                             facet_normal_vertex_jacobian, facet_normal_vjp,
+                             joint_positions, pose_mesh, pose_mesh_vjp,
+                             pose_mesh_with_jacobian, project)
 from contactfit.errors import (GeometryError, ParameterError, ProjectionError)
 from contactfit.rotations import rodrigues
 
@@ -90,6 +91,61 @@ class TestJacobian:
                     lambda x: pose_mesh(model, PoseParams.from_vector(
                         x, model.num_joints))[v, c], x0)
                 assert rel_error(jac[v, c], num) < 1e-5
+
+
+def _dense_vjp(model, params, grad_verts):
+    return np.einsum("vc,vcp->p", grad_verts,
+                     pose_mesh_with_jacobian(model, params)[1])
+
+
+class TestReverseMode:
+    """pose_mesh_vjp and facet_normal_vjp against their dense oracles."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vjp_matches_dense_jacobian_on_random_models(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        model = random_model(rng, n_joints=int(rng.integers(1, 7)), n_verts=18)
+        params = random_params(rng, model)
+        params.joint_rotations[int(rng.integers(model.num_joints))] = 0.0
+        grad_verts = rng.normal(0.0, 1.0, (model.num_vertices, 3))
+        assert rel_error(pose_mesh_vjp(model, params, grad_verts),
+                         _dense_vjp(model, params, grad_verts)) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_vjp_matches_dense_jacobian_on_synthetic_body(self, synthetic_body, seed):
+        model = synthetic_body.model
+        rng = np.random.default_rng(200 + seed)
+        params = random_params(rng, model, rot_scale=0.4)
+        params.joint_rotations[[0, 5]] = 0.0      # root and a limb: small-angle branch
+        params.joint_rotations[3] = [1e-9, 0.0, -2e-9]
+        grad_verts = rng.normal(0.0, 1.0, (model.num_vertices, 3))
+        assert rel_error(pose_mesh_vjp(model, params, grad_verts),
+                         _dense_vjp(model, params, grad_verts)) < 1e-10
+
+    def test_vjp_rejects_wrong_shape(self):
+        model = two_joint_model()
+        with pytest.raises(ParameterError):
+            pose_mesh_vjp(model, PoseParams.identity(2), np.zeros((3, 3)))
+
+    def test_normal_vjp_matches_jacobian_blocks(self):
+        rng = np.random.default_rng(9)
+        verts = rng.normal(0.0, 1.0, (30, 3))
+        faces = rng.integers(0, 30, (40, 3))
+        faces = faces[[len(set(f)) == 3 for f in faces]]
+        grad_normals = rng.normal(0.0, 1.0, (len(faces), 3))
+        grad_normals[::3] = 0.0  # faces the loss does not touch
+        face_ids = np.flatnonzero(np.any(grad_normals != 0.0, axis=1))
+        blocks = facet_normal_vertex_jacobian(verts, faces, face_ids)
+        expected = np.zeros_like(verts)
+        for row, fid in enumerate(face_ids):
+            for corner in range(3):
+                expected[faces[fid, corner]] += grad_normals[fid] @ blocks[row, corner]
+        assert rel_error(facet_normal_vjp(verts, faces, grad_normals), expected) < 1e-12
+
+    def test_normal_vjp_degenerate_face_raises(self):
+        verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+        with pytest.raises(GeometryError):
+            facet_normal_vjp(verts, np.array([[0, 1, 2]]), np.ones((1, 3)))
 
 
 class TestFacetGeometry:

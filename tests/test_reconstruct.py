@@ -3,10 +3,12 @@ import pytest
 
 from contactfit.body import PoseParams, facet_geometry, joint_positions, pose_mesh
 from contactfit.contact import ContactSignature
-from contactfit.errors import ParameterError
+from contactfit import reconstruct
+from contactfit.errors import GeometryError, ParameterError
 from contactfit.reconstruct import (CollisionProxySet, ObjectiveWeights,
                                     OptimizerSettings, ReconstructionProblem,
-                                    evaluate_breakdown, fit_collision_proxies,
+                                    evaluate_breakdown, evaluate_gradient,
+                                    fit_collision_proxies,
                                     loss_collision, loss_projection,
                                     loss_regularizer, optimize)
 from contactfit.regions import RegionMap
@@ -364,6 +366,38 @@ class TestOptimize:
 
         assert results[True] < 10.0
         assert abs(results[False] - c_init) <= 0.2 * c_init
+
+    def test_gradient_with_given_matches_equals_fresh(self):
+        rng = np.random.default_rng(18)
+        problem = _toy_problem(rng)
+        problem.keypoints = problem.keypoints + 2.0
+        params = problem.initial_params
+        _, matches = evaluate_breakdown(problem, params)
+        assert matches.entries
+        assert np.array_equal(evaluate_gradient(problem, params, matches),
+                              evaluate_gradient(problem, params))
+
+    def test_degenerate_facet_on_a_trial_step_halves_it(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        problem = _toy_problem(rng)
+        problem.keypoints = problem.keypoints + 3.0
+        real = reconstruct.facet_geometry
+        calls = []
+
+        def flaky(verts, faces):
+            calls.append(1)
+            # calls 1 and 2: initial breakdown and gradient; 3: first trial
+            if len(calls) == 3:
+                raise GeometryError("degenerate faces (zero normal): [0]")
+            return real(verts, faces)
+
+        monkeypatch.setattr(reconstruct, "facet_geometry", flaky)
+        _, trace = optimize(problem)
+        assert len(calls) > 3
+        assert len(trace) > 2
+        totals = [b.total for b in trace]
+        assert all(np.isfinite(totals))
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
 
     def test_nonfinite_params_rejected_at_construction(self):
         with pytest.raises(ParameterError):

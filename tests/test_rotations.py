@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from contactfit.rotations import (axis_angle_from_matrix, rodrigues,
-                                  rodrigues_jacobian, rotation_between, skew)
+                                  rodrigues_batch, rodrigues_jacobian,
+                                  rodrigues_jacobian_batch, rotation_between,
+                                  skew)
 
 from conftest import fd_gradient, rel_error
 
@@ -72,3 +74,18 @@ def test_axis_angle_roundtrip():
         v = rng.normal(0, 1.0, 3)
         R = rodrigues(v)
         assert np.allclose(rodrigues(axis_angle_from_matrix(R)), R, atol=1e-9)
+
+
+def test_batch_matches_scalar_including_small_angles():
+    rng = np.random.default_rng(4)
+    rvecs = np.concatenate([
+        rng.normal(0, 1.5, (40, 3)),
+        np.zeros((1, 3)),
+        rng.normal(0, 1e-9, (4, 3)),                   # t < 1e-8: Taylor branch
+        [[1e-8, 0.0, 0.0], [0.0, 2e-8, 0.0], [np.pi, 0.0, 0.0]]])
+    R = rodrigues_batch(rvecs)
+    jac = rodrigues_jacobian_batch(rvecs)
+    assert R.shape == (len(rvecs), 3, 3) and jac.shape == (len(rvecs), 3, 3, 3)
+    for n, rvec in enumerate(rvecs):
+        assert np.abs(R[n] - rodrigues(rvec)).max() <= 1e-15
+        assert np.abs(jac[n] - rodrigues_jacobian(rvec)).max() <= 1e-15
