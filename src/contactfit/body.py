@@ -35,8 +35,11 @@ class BodyModel:
     joint_regressor: np.ndarray
     _topo: np.ndarray = field(init=False, repr=False, compare=False)
     _rest_joints: np.ndarray = field(init=False, repr=False, compare=False)
-    _nz_verts: list = field(init=False, repr=False, compare=False)
-    _nz_weights: list = field(init=False, repr=False, compare=False)
+    _lbs_verts: np.ndarray = field(init=False, repr=False, compare=False)
+    _lbs_joints: np.ndarray = field(init=False, repr=False, compare=False)
+    _lbs_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _lbs_template: np.ndarray = field(init=False, repr=False, compare=False)
+    _lbs_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.template_vertices, dtype=float)
@@ -87,10 +90,15 @@ class BodyModel:
             raise GeometryError(
                 f"degenerate (zero-area) faces at load time: {degenerate[:8].tolist()}")
 
-        # per-joint nonzero skinning rows, for sparse pose/jacobian loops
-        nz = [np.flatnonzero(w[:, j]) for j in range(J)]
-        object.__setattr__(self, "_nz_verts", nz)
-        object.__setattr__(self, "_nz_weights", [w[idx, j] for j, idx in enumerate(nz)])
+        # nonzero skinning entries, joint-major with vertices ascending:
+        # joint j owns the slice _lbs_bounds[j]:_lbs_bounds[j + 1]
+        joints, verts = np.nonzero(w.T)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(joints, minlength=J))])
+        object.__setattr__(self, "_lbs_verts", verts)
+        object.__setattr__(self, "_lbs_joints", joints)
+        object.__setattr__(self, "_lbs_bounds", bounds)
+        object.__setattr__(self, "_lbs_template", v[verts])
+        object.__setattr__(self, "_lbs_weights", w[verts, joints][:, None])
 
     @property
     def num_vertices(self):
@@ -193,11 +201,9 @@ def _check_dims(model, params):
 
 
 def _forward_kinematics(model, params):
-    """Global joint rotations G (J,3,3) and positions p (J,3), plus the
-    shape-scaled template and rest joints."""
-    scale = 1.0 + params.shape
-    v_scaled = model.template_vertices * scale
-    rest = model._rest_joints * scale
+    """Shape-scaled rest joints (J, 3), local rotations R and global
+    rotations G (J, 3, 3), and global positions p (J, 3)."""
+    rest = model._rest_joints * (1.0 + params.shape)
     parents = model.joint_parents
     J = model.num_joints
     R = rodrigues_batch(params.joint_rotations)
@@ -211,29 +217,47 @@ def _forward_kinematics(model, params):
         else:
             G[j] = G[par] @ R[j]
             p[j] = p[par] + G[par] @ (rest[j] - rest[par])
-    return v_scaled, rest, R, G, p
+    return rest, R, G, p
 
 
 def joint_transforms(model, params):
     """Global joint rotations (J, 3, 3) and posed joint centers (J, 3)
     from forward kinematics (before the regressor)."""
     _check_dims(model, params)
-    _, _, _, G, p = _forward_kinematics(model, params)
+    _, _, G, p = _forward_kinematics(model, params)
     return G, p
 
 
-def pose_mesh(model, params):
-    """Pose the template with LBS. Returns posed vertices (V, 3)."""
-    _check_dims(model, params)
-    v_scaled, rest, _, G, p = _forward_kinematics(model, params)
-    out = np.zeros_like(v_scaled)
-    for j in range(model.num_joints):
-        idx = model._nz_verts[j]
-        if len(idx) == 0:
-            continue
-        w = model._nz_weights[j]
-        out[idx] += w[:, None] * ((v_scaled[idx] - rest[j]) @ G[j].T + p[j])
+def scatter_rows(rows, ids, num_rows):
+    """Sum the rows (N, 3) into (num_rows, 3) by row index ids (N,), added
+    in the given order as np.add.at adds them, so the sums agree with it
+    to the bit."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.empty((num_rows, 3))
+    for k in range(3):
+        out[:, k] = np.bincount(ids, rows[:, k], minlength=num_rows)
     return out
+
+
+def pose_mesh(model, params):
+    """Pose the template with LBS. Returns posed vertices (V, 3).
+
+    The skinning entries are kept joint-major, so each vertex sums its
+    joints' terms in joint order; one matmul per joint keeps every term's
+    bits (a batched einsum rounds differently).
+    """
+    _check_dims(model, params)
+    rest, _, G, p = _forward_kinematics(model, params)
+    joints = model._lbs_joints
+    local = model._lbs_template * (1.0 + params.shape) - np.take(rest, joints, axis=0)
+    moved = np.empty_like(local)
+    bounds = model._lbs_bounds
+    for j in range(model.num_joints):
+        if bounds[j + 1] > bounds[j]:
+            np.matmul(local[bounds[j]:bounds[j + 1]], G[j].T,
+                      out=moved[bounds[j]:bounds[j + 1]])
+    terms = model._lbs_weights * (moved + np.take(p, joints, axis=0))
+    return scatter_rows(terms, model._lbs_verts, model.num_vertices)
 
 
 def pose_mesh_vjp(model, params, grad_verts):
@@ -249,7 +273,7 @@ def pose_mesh_vjp(model, params, grad_verts):
     gv = np.asarray(grad_verts, dtype=float)
     if gv.shape != (model.num_vertices, 3):
         raise ParameterError("grad_verts must be (V, 3)")
-    _, rest, R, G, _ = _forward_kinematics(model, params)
+    rest, R, G, _ = _forward_kinematics(model, params)
     parents = model.joint_parents
     W = model.skinning_weights
     J = model.num_joints
@@ -284,12 +308,19 @@ def pose_mesh_vjp(model, params, grad_verts):
     return np.concatenate([g_rot.ravel(), g_p[model._topo[0]], g_shape])
 
 
+def _joint_entries(model, j):
+    """Vertex ids and weights of joint j's nonzero skinning entries."""
+    lo, hi = model._lbs_bounds[j], model._lbs_bounds[j + 1]
+    return model._lbs_verts[lo:hi], model._lbs_weights[lo:hi, 0]
+
+
 def pose_mesh_with_jacobian(model, params):
     """Posed vertices plus the dense Jacobian (V, 3, P) w.r.t. the packed
     parameter vector [rotations, translation, shape]: the test oracle of
     pose_mesh_vjp."""
     _check_dims(model, params)
-    v_scaled, rest, R, G, p = _forward_kinematics(model, params)
+    rest, R, G, p = _forward_kinematics(model, params)
+    v_scaled = model.template_vertices * (1.0 + params.shape)
     parents = model.joint_parents
     topo = model._topo
     J = model.num_joints
@@ -299,8 +330,7 @@ def pose_mesh_with_jacobian(model, params):
     verts = np.zeros((V, 3))
     local = []  # per joint: weighted template offsets in the joint frame
     for j in range(J):
-        idx = model._nz_verts[j]
-        w = model._nz_weights[j]
+        idx, w = _joint_entries(model, j)
         local.append(v_scaled[idx] - rest[j])
         if len(idx):
             verts[idx] += w[:, None] * (local[j] @ G[j].T + p[j])
@@ -324,9 +354,8 @@ def pose_mesh_with_jacobian(model, params):
                     dG[j] = dG[par] @ R[j]
                     dp[j] = dp[par] + dG[par] @ (rest[j] - rest[par])
             for j, dGj in dG.items():
-                idx = model._nz_verts[j]
+                idx, w = _joint_entries(model, j)
                 if len(idx):
-                    w = model._nz_weights[j]
                     jac[idx, :, col] += w[:, None] * (local[j] @ dGj.T + dp[j])
 
     # translation: all joints inherit it and weights sum to 1
@@ -347,10 +376,9 @@ def pose_mesh_with_jacobian(model, params):
             else:
                 dp[j] = dp[par] + G[par] @ (drest[j] - drest[par])
         for j in range(J):
-            idx = model._nz_verts[j]
+            idx, w = _joint_entries(model, j)
             if len(idx) == 0:
                 continue
-            w = model._nz_weights[j]
             dv = np.zeros((len(idx), 3))
             dv[:, k] = model.template_vertices[idx, k]
             jac[idx, :, col] += w[:, None] * ((dv - drest[j]) @ G[j].T + dp[j])
@@ -386,6 +414,26 @@ class FacetGeometry:
         return Facet(self.centers[i], self.normals[i])
 
 
+def _cross(u, v):
+    """np.cross of 3-vectors stored as component rows (3, N), computed by
+    component as np.cross computes it, so it agrees to the bit."""
+    return np.stack([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _norm(m):
+    """Lengths of 3-vectors stored as component rows (3, N), summed in
+    np.linalg.norm(axis=1) order."""
+    return np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+
+
+def _face_corners(verts, faces):
+    """Corners a, b, c of every face as component rows (3, F) each."""
+    corners = np.take(np.ascontiguousarray(verts.T), faces.T, axis=1)  # (3, corner, F)
+    return corners[:, 0], corners[:, 1], corners[:, 2]
+
+
 def facet_geometry(verts, faces):
     """Centers (mean of corners) and unit normals (winding order) per facet.
 
@@ -395,16 +443,15 @@ def facet_geometry(verts, faces):
     faces = np.asarray(faces, dtype=int)
     if faces.min(initial=0) < 0 or faces.max(initial=-1) >= len(verts):
         raise ParameterError("face references an invalid vertex index")
-    a = verts[faces[:, 0]]
-    b = verts[faces[:, 1]]
-    c = verts[faces[:, 2]]
+    a, b, c = _face_corners(verts, faces)
     centers = (a + b + c) / 3.0
-    cross = np.cross(b - a, c - a)
-    norms = np.linalg.norm(cross, axis=1)
+    cross = _cross(b - a, c - a)
+    norms = _norm(cross)
     bad = np.flatnonzero(norms < _DEGENERATE_AREA)
     if bad.size:
         raise GeometryError(f"degenerate faces (zero normal): {bad[:8].tolist()}")
-    return FacetGeometry(centers, cross / norms[:, None])
+    return FacetGeometry(np.ascontiguousarray(centers.T),
+                         np.ascontiguousarray((cross / norms).T))
 
 
 def facet_normal_vjp(verts, faces, grad_normals):
@@ -413,34 +460,32 @@ def facet_normal_vjp(verts, faces, grad_normals):
 
     With n = m / |m| and m = (b - a) x (c - a), the normal's gradient g
     maps to g_m = (g - n (n . g)) / |m|, then to the corners through the
-    cross product. Only faces with a nonzero gradient row are visited;
+    cross product. Only faces with a nonzero gradient row are visited, and
+    the corner terms are summed corner by corner, in face order;
     facet_normal_vertex_jacobian is its dense oracle.
     """
     verts = np.asarray(verts, dtype=float)
     faces = np.asarray(faces, dtype=int)
     grad_normals = np.asarray(grad_normals, dtype=float)
-    out = np.zeros_like(verts)
     face_ids = np.flatnonzero(np.any(grad_normals != 0.0, axis=1))
     if face_ids.size == 0:
-        return out
+        return np.zeros_like(verts)
     tri = faces[face_ids]
-    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
+    a, b, c = _face_corners(verts, tri)
     u = b - a
     v = c - a
-    m = np.cross(u, v)
-    mn = np.linalg.norm(m, axis=1)
+    m = _cross(u, v)
+    mn = _norm(m)
     bad = face_ids[mn < _DEGENERATE_AREA]
     if bad.size:
         raise GeometryError(f"degenerate faces in normal gradient: {bad[:8].tolist()}")
-    n = m / mn[:, None]
-    g = grad_normals[face_ids]
-    g_m = (g - n * (n * g).sum(axis=1, keepdims=True)) / mn[:, None]
-    g_u = np.cross(v, g_m)
-    g_v = np.cross(g_m, u)
-    np.add.at(out, tri[:, 0], -g_u - g_v)
-    np.add.at(out, tri[:, 1], g_u)
-    np.add.at(out, tri[:, 2], g_v)
-    return out
+    n = m / mn
+    g = np.ascontiguousarray(grad_normals[face_ids].T)
+    g_m = (g - n * (n[0] * g[0] + n[1] * g[1] + n[2] * g[2])) / mn
+    g_u = _cross(v, g_m)
+    g_v = _cross(g_m, u)
+    rows = np.concatenate([-g_u - g_v, g_u, g_v], axis=1)
+    return scatter_rows(rows.T, tri.T.ravel(), len(verts))
 
 
 def facet_normal_vertex_jacobian(verts, faces, face_ids):

@@ -8,6 +8,7 @@ seeds.
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -56,22 +57,35 @@ def _cmd_synth(args):
     return 0
 
 
-def _weights_from_config(cfg):
-    kw = {}
-    for key in ("lambda_s", "lambda_psr", "lambda_col", "lambda_d", "lambda_n",
-                "lambda_pose", "lambda_shape"):
-        if key in cfg:
-            kw[key] = float(cfg[key])
-    return ObjectiveWeights(**kw)
+def _field_types(cls):
+    """{field name: type of its default} of a config dataclass."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
 
 
-def _settings_from_config(cfg):
+# the ReconstructionProblem options a reconstruct config may set
+_SELECTION_TYPES = {"selection_mode": str, "selection_k": int}
+
+
+def _cast_config(cfg, types, path=None):
+    """The keys of cfg named in types ({key: type}), each cast to its type.
+    A value that does not cast is a CodecError naming the file and key."""
     kw = {}
-    for key, cast in (("iterations", int), ("step_size", float),
-                      ("armijo_c", float), ("max_backtracks", int)):
+    for key, cast in types.items():
         if key in cfg:
-            kw[key] = cast(cfg[key])
-    return OptimizerSettings(**kw)
+            try:
+                kw[key] = cast(cfg[key])
+            except (TypeError, ValueError) as e:
+                raise CodecError(f"expected {cast.__name__}: {e}", path=path,
+                                 field=key) from e
+    return kw
+
+
+def _weights_from_config(cfg, path=None):
+    return ObjectiveWeights(**_cast_config(cfg, _field_types(ObjectiveWeights), path))
+
+
+def _settings_from_config(cfg, path=None):
+    return OptimizerSettings(**_cast_config(cfg, _field_types(OptimizerSettings), path))
 
 
 def _cmd_reconstruct(args):
@@ -83,13 +97,18 @@ def _cmd_reconstruct(args):
     init = (io.load_pose_params(args.init) if args.init
             else PoseParams.identity(model.num_joints))
     cfg = io.load_config(args.config) if args.config else {}
+    known = (_field_types(ObjectiveWeights) | _field_types(OptimizerSettings)
+             | _SELECTION_TYPES)
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise CodecError("unknown key", path=args.config, field=unknown[0])
     problem = ReconstructionProblem(
         model=model, region_map=region_map, camera=camera,
         keypoints=keypoints, keypoint_joints=keypoint_joints,
         signature=signature, initial_params=init,
-        weights=_weights_from_config(cfg), settings=_settings_from_config(cfg),
-        selection_mode=str(cfg.get("selection_mode", "all")),
-        selection_k=int(cfg.get("selection_k", 2)))
+        weights=_weights_from_config(cfg, args.config),
+        settings=_settings_from_config(cfg, args.config),
+        **_cast_config(cfg, _SELECTION_TYPES, args.config))
     final, trace = optimize(problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -35,18 +35,18 @@ class ContactSignature:
         if granularity < 2:
             raise ParameterError("signature needs at least 2 regions")
         self.granularity = int(granularity)
-        entries = {}
+        states = {}
         if pairs:
             items = pairs.items() if isinstance(pairs, dict) else pairs
             for (r1, r2), state in items:
                 state = ContactState(state)
                 key = _norm_pair(int(r1), int(r2), self.granularity)
-                if state != ContactState.NO_CONTACT:
-                    prev = entries.get(key)
-                    if prev is not None and prev != state:
-                        raise ParameterError(f"conflicting states for pair {key}")
-                    entries[key] = state
-        self._entries = entries
+                prev = states.setdefault(key, state)
+                if prev != state:
+                    raise ParameterError(f"conflicting states for pair {key}: "
+                                         f"{prev.name} and {state.name}")
+        self._entries = {k: v for k, v in states.items()
+                         if v != ContactState.NO_CONTACT}
 
     @classmethod
     def from_sets(cls, granularity, contact=(), masked=()):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .body import scatter_rows
 from .errors import GeometryError, ParameterError
 from .regions import region_facets
 from .spatial import nearest_neighbors
@@ -119,44 +120,63 @@ def loss_distance(centers, sig, region_map, mode="all", k=2, method="auto"):
     return total, matches, per_pair
 
 
+def _matched(matches, attr):
+    """The (facet, facet) rows of every entry's `attr` list ("pairs" or
+    "directed"), entries in sorted key order, as an (N, 2) int array."""
+    rows = [p for key in sorted(matches.entries)
+            for p in getattr(matches.entries[key], attr)]
+    return np.array(rows, dtype=int).reshape(-1, 2)
+
+
+def _row_dots(x, y):
+    """Dot product of each row pair of x, y (N, 3): one BLAS dot per row,
+    like the 1-D `x @ y` and np.linalg.norm, so the bits agree with them."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _sum_in_order(values):
+    """0.0 + values[0] + values[1] + ..., added left to right as a Python
+    loop adds them (ndarray.sum() adds pairwise)."""
+    return float(np.cumsum(np.concatenate([[0.0], values]))[-1])
+
+
+def _interleaved(first, second):
+    """Rows first[0], second[0], first[1], second[1], ..."""
+    return np.stack([first, second], axis=1).reshape(-1, *np.shape(first)[1:])
+
+
 def loss_distance_frozen(centers, matches):
     """Distance loss and gradient w.r.t. facet centers with matches frozen.
 
-    Returns (value, grad (F, 3)).
+    Returns (value, grad (F, 3)). Terms are added in match order, so the
+    result equals a loop over the directed matches to the bit.
     """
     centers = np.asarray(centers, dtype=float)
-    grad = np.zeros_like(centers)
-    total = 0.0
-    for key in sorted(matches.entries):
-        for f1, f2 in matches.entries[key].directed:
-            diff = centers[f1] - centers[f2]
-            d = float(np.linalg.norm(diff))
-            total += d
-            if d > _ZERO_DIST:
-                g = diff / d
-                grad[f1] += g
-                grad[f2] -= g
-    return total, grad
+    f1, f2 = _matched(matches, "directed").T
+    diff = centers[f1] - centers[f2]
+    d = np.sqrt(_row_dots(diff, diff))
+    moving = d > _ZERO_DIST
+    g = diff[moving] / d[moving][:, None]
+    grad = scatter_rows(_interleaved(g, -g),
+                        _interleaved(f1[moving], f2[moving]), len(centers))
+    return _sum_in_order(d), grad
 
 
 def loss_normal(normals, matches):
     """Sum of dot products of matched facet normals, plus its gradient
     w.r.t. the normals. Minimized when matched normals are anti-parallel.
+    Terms are added in match order, as a loop over the pairs adds them.
     """
     normals = np.asarray(normals, dtype=float)
-    lengths = np.linalg.norm(normals, axis=1)
-    used = sorted({f for e in matches.entries.values() for p in e.pairs for f in p})
-    for f in used:
-        if abs(lengths[f] - 1.0) > 1e-6:
-            raise GeometryError(f"facet {f} normal is not unit length")
-    total = 0.0
-    grad = np.zeros_like(normals)
-    for key in sorted(matches.entries):
-        for f1, f2 in matches.entries[key].pairs:
-            total += float(normals[f1] @ normals[f2])
-            grad[f1] += normals[f2]
-            grad[f2] += normals[f1]
-    return total, grad
+    f1, f2 = _matched(matches, "pairs").T
+    used = np.unique(np.concatenate([f1, f2]))
+    lengths = np.linalg.norm(normals[used], axis=1)
+    bad = used[np.abs(lengths - 1.0) > 1e-6]
+    if bad.size:
+        raise GeometryError(f"facet {int(bad[0])} normal is not unit length")
+    n1, n2 = normals[f1], normals[f2]
+    grad = scatter_rows(_interleaved(n2, n1), _interleaved(f1, f2), len(normals))
+    return _sum_in_order(_row_dots(n1, n2)), grad
 
 
 def contact_losses(centers, normals, sig, region_map, mode="all", k=2,

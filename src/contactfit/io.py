@@ -185,24 +185,29 @@ def load_annotation(path):
     """
     data = _load(path)
     n = int(_require(data, "granularity", path))
-    entries = []
+    annotated = {}  # (lo, hi) -> state name
     for row in _require(data, "pairs", path, list):
         state = _require(row, "state", path)
         if state not in _STATE_VALUES:
             raise CodecError(f"unknown state {state!r}", path=path, field="pairs")
-        entries.append(((int(_require(row, "r1", path)),
-                         int(_require(row, "r2", path))), _STATE_VALUES[state]))
+        r1, r2 = int(_require(row, "r1", path)), int(_require(row, "r2", path))
+        pair = (min(r1, r2), max(r1, r2))
+        if pair in annotated:
+            prev = annotated[pair]
+            what = f"listed twice as {state}" if prev == state else f"both {prev} and {state}"
+            raise CodecError(f"pair {pair} is {what}", path=path, field="pairs")
+        annotated[pair] = state
     for r in data.get("masked_regions", []):
         r = int(r)
         if not 0 <= r < n:
             raise CodecError(f"region {r} out of range", path=path,
                              field="masked_regions")
-        annotated = {p for p, _ in entries}
         for other in range(n):
-            if other != r and (min(r, other), max(r, other)) not in annotated:
-                entries.append(((r, other), ContactState.MASKED))
+            if other != r:
+                annotated.setdefault((min(r, other), max(r, other)), "masked")
     try:
-        sig = ContactSignature(n, entries)
+        sig = ContactSignature(n, [(pair, _STATE_VALUES[state])
+                                   for pair, state in annotated.items()])
         support = ImageSupport(n, {int(row["r"]): (row["x"], row["y"])
                                    for row in data.get("support", [])})
     except Exception as e:

@@ -12,6 +12,12 @@ every term's gradient w.r.t. the posed vertices is summed and pulled back
 once through LBS, forward kinematics and the Rodrigues Jacobians
 (body.pose_mesh_vjp). The dense vertex Jacobian (pose_mesh_with_jacobian)
 and the per-face normal Jacobians are only test oracles.
+
+The kernels of one evaluation are array code that adds its terms in the
+order the plain loops did, so every value and gradient is the loops' to
+the bit. A problem keeps the posed vertices and facet geometry of its last
+point, so the gradient at the point the line search accepted does not
+pose the mesh again.
 """
 
 import warnings
@@ -20,11 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
-                   pose_mesh_vjp)
+                   pose_mesh_vjp, scatter_rows)
 from .contact_geometry import (loss_distance, loss_distance_frozen,
                                loss_normal)
 from .errors import GeometryError, OptimizationError, ParameterError
-from .regions import region_facets
+from .regions import SELECTION_MODES, region_facets
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,6 @@ class OptimizerSettings:
     step_size: float = 1.0
     armijo_c: float = 1e-4
     max_backtracks: int = 40
-    fd_step: float = 1e-4  # probe step of finite_difference_gradient
 
     def __post_init__(self):
         if self.iterations < 0 or self.step_size <= 0 or self.max_backtracks < 1:
@@ -89,15 +94,20 @@ class CollisionProxySet:
         if (self.radii <= 0).any():
             raise ParameterError("proxy radii must be positive")
         self.excluded = {(min(a, b), max(a, b)) for a, b in self.excluded}
-        self._mask = None
+        self._candidates = None
 
-    def exclusion_mask(self, n):
-        if self._mask is None or self._mask.shape[0] != n:
-            mask = np.zeros((n, n), dtype=bool)
-            for a, b in self.excluded:
-                mask[a, b] = mask[b, a] = True
-            self._mask = mask
-        return self._mask
+    def candidate_pairs(self, n, contact_pairs=()):
+        """Region pairs (lo, hi) the penalty considers, as two index arrays
+        in row-major order: the upper triangle of n regions minus the
+        excluded pairs and the given contact pairs. Cached for the last
+        (n, contact pairs) asked for."""
+        key = (n, tuple(contact_pairs))
+        if self._candidates is None or self._candidates[0] != key:
+            keep = np.triu(np.ones((n, n), dtype=bool), k=1)
+            for a, b in self.excluded | set(key[1]):
+                keep[a, b] = False
+            self._candidates = (key,) + np.nonzero(keep)
+        return self._candidates[1:]
 
 
 def fit_collision_proxies(centers, region_map, min_radius=5e-3):
@@ -127,6 +137,10 @@ def loss_collision(centers, region_map, proxies, sig=None):
 
     Pairs marked contact in the signature are skipped (they are supposed to
     touch). Returns (value, grad w.r.t. facet centers (F, 3)).
+
+    Only the candidate pairs are measured, and each region sums its
+    partners' gradient terms in partner order, so the result is the dense
+    (n, n) computation's to the bit.
     """
     centers = np.asarray(centers, dtype=float)
     n = region_map.granularity
@@ -134,27 +148,21 @@ def loss_collision(centers, region_map, proxies, sig=None):
         raise ParameterError("proxy count does not match region map granularity")
     f2r = region_map.facet_to_region
     counts = np.bincount(f2r, minlength=n).astype(float)
-    cents = np.zeros((n, 3))
-    np.add.at(cents, f2r, centers)
-    cents = cents / counts[:, None] + proxies.offsets
+    cents = scatter_rows(centers, f2r, n) / counts[:, None] + proxies.offsets
 
-    skip = proxies.exclusion_mask(n).copy()
-    if sig is not None:
-        for a, b in sig.contact_pairs():
-            skip[a, b] = skip[b, a] = True
-    diff = cents[:, None, :] - cents[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
-    pen = proxies.radii[:, None] + proxies.radii[None, :] - d
-    active = (~skip) & (pen > 0.0) & (d > 1e-12)
-    active &= np.triu(np.ones((n, n), dtype=bool), k=1)
-    value = float((pen[active] ** 2).sum())
+    lo, hi = proxies.candidate_pairs(n, sig.contact_pairs() if sig is not None else ())
+    diff = np.take(cents, lo, axis=0) - np.take(cents, hi, axis=0)
+    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+    pen = np.take(proxies.radii, lo) + np.take(proxies.radii, hi) - d
+    active = (pen > 0.0) & (d > 1e-12)
+    lo, hi, pen, d, diff = lo[active], hi[active], pen[active], d[active], diff[active]
+    value = float((pen ** 2).sum())
 
-    coef = np.zeros((n, n))
-    coef[active] = -2.0 * pen[active] / d[active]
-    coef = coef + coef.T
-    grad_cents = (coef[:, :, None] * diff).sum(axis=1)
-    grad = grad_cents[f2r] / counts[f2r][:, None]
-    return value, grad
+    term = (-2.0 * pen / d)[:, None] * diff
+    region = np.concatenate([lo, hi])
+    order = np.argsort(region * n + np.concatenate([hi, lo]))
+    grad_cents = scatter_rows(np.concatenate([term, -term])[order], region[order], n)
+    return value, np.take(grad_cents / counts[:, None], f2r, axis=0)
 
 
 def _projection_terms(model, verts, camera, keypoints, joint_ids, want_grad):
@@ -238,6 +246,8 @@ class ReconstructionProblem:
     proxies: CollisionProxySet = None  # fitted at the initial pose when None
     selection_mode: str = "all"
     selection_k: int = 2
+    # (model, parameter bytes, posed vertices, facet geometry) of the last point
+    _last_posed: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.keypoints = np.asarray(self.keypoints, dtype=float)
@@ -246,17 +256,36 @@ class ReconstructionProblem:
             raise ParameterError("more keypoints than joints")
         if self.signature.granularity != self.region_map.granularity:
             raise ParameterError("signature and region map granularities differ")
+        if self.selection_mode not in SELECTION_MODES:
+            raise ParameterError(f"unknown selection mode {self.selection_mode!r}")
+        if self.selection_mode == "subset" and self.selection_k < 1:
+            raise ParameterError("subset step selection_k must be >= 1")
         if self.proxies is None:
-            centers = facet_geometry(pose_mesh(self.model, self.initial_params),
-                                     self.model.faces).centers
+            centers = _posed(self, self.initial_params)[1].centers
             self.proxies = fit_collision_proxies(centers, self.region_map)
 
 
 def _scatter_centers_to_vertices(grad_centers, faces, num_vertices):
-    grad_verts = np.zeros((num_vertices, 3))
-    for c in range(3):
-        np.add.at(grad_verts, faces[:, c], grad_centers / 3.0)
-    return grad_verts
+    """Each facet center's gradient, a third to each corner, summed corner
+    by corner in face order."""
+    return scatter_rows(np.tile(grad_centers / 3.0, (3, 1)), faces.T.ravel(),
+                        num_vertices)
+
+
+def _posed(problem, params):
+    """pose_mesh and facet_geometry at params. The problem keeps those of
+    its last point and reuses them when the model and the parameters'
+    bytes are the same: optimize asks for the gradient at the point
+    evaluate_breakdown just accepted."""
+    model = problem.model
+    key = params.to_vector().tobytes()
+    last = problem._last_posed
+    if last is not None and last[0] is model and last[1] == key:
+        return last[2], last[3]
+    verts = pose_mesh(model, params)
+    geom = facet_geometry(verts, model.faces)
+    problem._last_posed = (model, key, verts, geom)
+    return verts, geom
 
 
 def _objective(problem, params, matches=None, want_grad=False):
@@ -271,8 +300,7 @@ def _objective(problem, params, matches=None, want_grad=False):
     """
     model = problem.model
     w = problem.weights
-    verts = pose_mesh(model, params)
-    geom = facet_geometry(verts, model.faces)
+    verts, geom = _posed(problem, params)
     l_s, g_s = _projection_terms(model, verts, problem.camera, problem.keypoints,
                                  problem.keypoint_joints, want_grad)
     l_psr, g_psr = loss_regularizer(params, problem.initial_params,
@@ -325,16 +353,14 @@ def evaluate_gradient(problem, params, matches=None):
     return _objective(problem, params, matches, want_grad=True)[2]
 
 
-def finite_difference_gradient(problem, params, step=None):
+def finite_difference_gradient(problem, params, step=1e-4):
     """Central-difference gradient of the frozen-match objective.
 
     Cross-validation oracle for evaluate_gradient: matches and proxies are
-    frozen at params, then every packed parameter is probed with the
-    settings' fd_step (parameter counts are small enough for this to be
-    cheap).
+    frozen at params, then every packed parameter is probed with the given
+    step (parameter counts are small enough for this to be cheap).
     """
     model = problem.model
-    step = problem.settings.fd_step if step is None else step
     _, matches, _ = _objective(problem, params)
 
     def frozen_total(x):

@@ -80,6 +80,9 @@ class CoarsenMap:
                 and np.array_equal(self.mapping, other.mapping))
 
 
+SELECTION_MODES = ("all", "subset", "center")
+
+
 def region_facets(region_map, r, mode="all", k=2, centers=None):
     """Facet ids of region r under a selection mode.
 

@@ -51,6 +51,18 @@ class TestSignature:
         with pytest.raises(ParameterError):
             ContactSignature(4, [((0, 1), C), ((1, 0), M)])
 
+    @pytest.mark.parametrize("rows", [[((1, 3), C), ((3, 1), N)],
+                                      [((1, 3), N), ((1, 3), C)],
+                                      [((3, 1), M), ((1, 3), N)]])
+    def test_no_contact_row_conflicts_too(self, rows):
+        with pytest.raises(ParameterError, match=r"\(1, 3\)"):
+            ContactSignature(4, rows)
+
+    def test_repeated_agreeing_rows_accepted(self):
+        s = ContactSignature(4, [((1, 3), C), ((3, 1), C), ((0, 2), N), ((2, 0), N)])
+        assert s.contact_pairs() == [(1, 3)]
+        assert s == sig(4, contact=[(1, 3)])
+
     @settings(max_examples=60, deadline=None)
     @given(signatures(6))
     def test_symmetric_query_property(self, s):

@@ -133,7 +133,47 @@ class TestRoundTrips:
         assert io.load_config(path) == cfg
 
 
+    @pytest.mark.parametrize("r1, r2", [(1, 50), (50, 1)])
+    def test_annotation_masked_region_of_a_contact_row_in_either_order(
+            self, tmp_path, r1, r2):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({
+            "granularity": 75, "support": [], "masked_regions": [1, 50],
+            "pairs": [{"r1": r1, "r2": r2, "state": "contact"}]}))
+        sig, _ = io.load_annotation(path)
+        assert sig.contact_pairs() == [(1, 50)]
+        assert sig.state(1, 7) == sig.state(50, 7) == 2
+        assert len(sig.masked_pairs()) == 2 * 73
+
+
+def _annotation_rows(path, *rows):
+    path.write_text(json.dumps({
+        "granularity": 75, "support": [],
+        "pairs": [{"r1": a, "r2": b, "state": state} for a, b, state in rows]}))
+    return path
+
+
 class TestCodecErrors:
+    @pytest.mark.parametrize("rows", [
+        [(1, 50, "contact"), (1, 50, "no-contact")],
+        [(1, 50, "no-contact"), (50, 1, "contact")],
+        [(1, 50, "contact"), (50, 1, "masked")]])
+    def test_conflicting_annotation_rows_rejected(self, tmp_path, rows):
+        path = _annotation_rows(tmp_path / "ann.json", *rows)
+        with pytest.raises(CodecError) as err:
+            io.load_annotation(path)
+        assert err.value.path == path and err.value.field == "pairs"
+        assert "(1, 50)" in str(err.value)
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 50, "contact"), (1, 50, "contact")],
+        [(4, 9, "masked"), (9, 4, "masked")]])
+    def test_duplicate_annotation_rows_rejected(self, tmp_path, rows):
+        path = _annotation_rows(tmp_path / "ann.json", *rows)
+        with pytest.raises(CodecError, match="listed twice") as err:
+            io.load_annotation(path)
+        assert err.value.path == path and err.value.field == "pairs"
+
     def test_missing_field_names_file_and_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"granularity": 5}')
@@ -179,6 +219,42 @@ class TestCli:
                              "--out", str(tmp_path / "out.obj")])
         assert code == 1
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, field", [
+        ("lamda_d = 2.0", "lamda_d"),
+        ("fd_step = 1e-3", "fd_step"),
+        ("iterations = many", "iterations"),
+        ("selection_k = two", "selection_k")])
+    def test_reconstruct_rejects_a_bad_config_key(self, tmp_path, capsys, line, field):
+        bundle = tmp_path / "bundle"
+        assert cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "2",
+                             "--out", str(bundle)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"iterations = 1\n{line}\n")
+        capsys.readouterr()
+        code = cli_dispatch(_reconstruct_args(bundle, cfg, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "run.cfg" in err and f"'{field}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_reconstruct_rejects_an_unknown_selection_mode(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "2",
+                      "--out", str(bundle)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 1\nselection_mode = nearest\n")
+        capsys.readouterr()
+        assert cli_dispatch(_reconstruct_args(bundle, cfg, tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("error: unknown selection mode 'nearest'")
+
+    def test_reconstruct_config_keys_follow_the_dataclasses(self):
+        from contactfit.cli import _settings_from_config, _weights_from_config
+        settings = _settings_from_config({"armijo_c": 1e-3, "iterations": 7.0})
+        assert settings.armijo_c == 1e-3 and settings.iterations == 7
+        assert isinstance(settings.iterations, int)
+        assert _weights_from_config({"lambda_pose": 2}).lambda_pose == 2.0
 
     def test_synth_writes_bundle(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -328,3 +404,13 @@ class TestCli:
                              "--out", str(table_path)]) == 0
         text = table_path.read_text()
         assert "standing" in text and "overall" in text
+
+
+def _reconstruct_args(bundle, cfg, out):
+    return ["reconstruct", "--body", str(bundle / "body.json"),
+            "--regions", str(bundle / "regions_75.json"),
+            "--annotation", str(bundle / "annotation.json"),
+            "--keypoints", str(bundle / "keypoints.json"),
+            "--camera", str(bundle / "camera.json"),
+            "--init", str(bundle / "init_params.json"),
+            "--config", str(cfg), "--out-dir", str(out)]

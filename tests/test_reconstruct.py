@@ -381,19 +381,22 @@ class TestOptimize:
         rng = np.random.default_rng(19)
         problem = _toy_problem(rng)
         problem.keypoints = problem.keypoints + 3.0
+        init_verts = pose_mesh(problem.model, problem.initial_params)
         real = reconstruct.facet_geometry
-        calls = []
+        trials = []
 
         def flaky(verts, faces):
-            calls.append(1)
-            # calls 1 and 2: initial breakdown and gradient; 3: first trial
-            if len(calls) == 3:
-                raise GeometryError("degenerate faces (zero normal): [0]")
+            # fail once, on the first trial step away from the initial
+            # point, whether or not that point's geometry is reused
+            if not np.array_equal(verts, init_verts):
+                trials.append(1)
+                if len(trials) == 1:
+                    raise GeometryError("degenerate faces (zero normal): [0]")
             return real(verts, faces)
 
         monkeypatch.setattr(reconstruct, "facet_geometry", flaky)
         _, trace = optimize(problem)
-        assert len(calls) > 3
+        assert len(trials) > 1
         assert len(trace) > 2
         totals = [b.total for b in trace]
         assert all(np.isfinite(totals))
@@ -415,6 +418,18 @@ class TestOptimize:
     def test_negative_weights_rejected(self):
         with pytest.raises(ParameterError):
             ObjectiveWeights(lambda_d=-1.0)
+
+    @pytest.mark.parametrize("mode, k", [("nearest", 2), ("subset", 0)])
+    def test_invalid_selection_rejected_at_construction(self, mode, k):
+        rng = np.random.default_rng(20)
+        problem = _toy_problem(rng)
+        with pytest.raises(ParameterError):
+            ReconstructionProblem(
+                model=problem.model, region_map=problem.region_map,
+                camera=problem.camera, keypoints=problem.keypoints,
+                keypoint_joints=problem.keypoint_joints,
+                signature=problem.signature, initial_params=problem.initial_params,
+                selection_mode=mode, selection_k=k)
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ParameterError):
