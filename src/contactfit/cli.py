@@ -16,21 +16,19 @@ import numpy as np
 
 from . import io
 from .body import PoseParams, facet_geometry, joint_positions, pose_mesh
-from .contact import (ContactSignature, ContactState, ImageSupport,
-                      contact_stats, coarsen_signature,
-                      segmentation_from_signature)
+from .contact import (ContactState, ImageSupport, contact_stats,
+                      coarsen_signature, segmentation_from_signature)
 from .contact_geometry import contact_distance_error
 from .errors import CodecError, ContactFitError
 from .evaluation import (SCENARIO_CLASSES, EvalRecord, aggregate, mpjpe,
                          translation_error, vertex_error)
-from .inference_filter import filter_signature, sweep_thresholds
+from .inference_filter import FilterConfig, filter_signature, sweep_thresholds
 from .reconstruct import (ObjectiveWeights, OptimizerSettings,
                           ReconstructionProblem, optimize)
 from .synthetic import SCENARIO_NAMES, generate_scenario
-from .train_losses import (LandmarkSet, LossWeights, loss_landmark,
-                           loss_separation, loss_segmentation_ce,
-                           signature_similarity_loss, softargmax,
-                           total_train_loss, DEFAULT_SIGMA_SQ_SEP)
+from .train_losses import (loss_landmark, loss_separation,
+                           loss_segmentation_ce, signature_similarity_loss,
+                           total_train_loss)
 
 
 def _cmd_synth(args):
@@ -160,10 +158,7 @@ def _cmd_metrics(args):
 
 def _cmd_filter(args):
     pred = io.load_prediction(args.pred)
-    cfg = io.load_filter_config(args.config) if args.config else None
-    if cfg is None:
-        from .inference_filter import FilterConfig
-        cfg = FilterConfig()
+    cfg = io.load_filter_config(args.config) if args.config else FilterConfig()
     sig = filter_signature(pred, cfg)
     io.save_annotation(sig, ImageSupport(sig.granularity, {}), args.out)
     print(f"kept {len(sig.contact_pairs())} of {len(pred.signature_probs)} pairs")
@@ -171,17 +166,10 @@ def _cmd_filter(args):
 
 
 def _cmd_sweep(args):
-    manifest = io._load(args.manifest)
-    base = Path(args.manifest).parent
-    preds, gts = [], []
-    for row in manifest:
-        preds.append(io.load_prediction(
-            base / io._require(row, "prediction", args.manifest)))
-        gts.append(io.load_annotation(
-            base / io._require(row, "ground_truth", args.manifest))[0])
-    grids = [np.array([float(x) for x in g.split(",")])
-             for g in (args.tau_s, args.tau_c, args.tau_dist)]
-    cfg, scores = sweep_thresholds(preds, gts, *grids)
+    pairs = io.load_manifest(args.manifest)
+    preds = [io.load_prediction(pred) for pred, _ in pairs]
+    gts = [io.load_annotation(gt)[0] for _, gt in pairs]
+    cfg, scores = sweep_thresholds(preds, gts, args.tau_s, args.tau_c, args.tau_dist)
     io.save_filter_config(cfg, args.out)
     print(f"tau_s={cfg.tau_s} tau_c={cfg.tau_c} tau_dist={cfg.tau_dist} "
           f"seg_iou={scores['segmentation_iou']:.4f} "
@@ -225,61 +213,20 @@ def _cmd_coarsen(args):
 
 
 def _cmd_losses(args):
-    data = io._load(args.infile)
-    n = int(io._require(data, "granularity", args.infile))
-    sig, support = _signature_from_bundle(data, args.infile)
-    if "heatmaps" in data:
-        coords = [softargmax(np.asarray(h, dtype=float))[0] for h in data["heatmaps"]]
-        landmarks = LandmarkSet(n, np.asarray(coords))
-    else:
-        landmarks = LandmarkSet(
-            n, np.asarray(io._require(data, "landmarks", args.infile), dtype=float))
-    sigma_sq = float(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP))
-    l_sep, _ = loss_separation(landmarks, sig, sigma_sq)
-    l_k, _ = loss_landmark(landmarks, support)
-    l_s, _ = loss_segmentation_ce(
-        np.asarray(io._require(data, "seg_logits", args.infile), dtype=float),
-        segmentation_from_signature(sig))
-    l_c, _ = signature_similarity_loss(
-        np.asarray(io._require(data, "features", args.infile), dtype=float),
-        sig, metric=data.get("metric", "dot"))
-    wdata = data.get("weights", {})
-    weights = LossWeights(w_sep=float(wdata.get("w_sep", 5.0)),
-                          w_k=float(wdata.get("w_k", 5.0)),
-                          w_s=float(wdata.get("w_s", 1.0)),
-                          w_c=float(wdata.get("w_c", 1.0)))
-    total = total_train_loss(l_sep, l_k, l_s, l_c, weights)
+    b = io.load_loss_bundle(args.infile)
+    l_sep, _ = loss_separation(b.landmarks, b.signature, b.sigma_sq_sep)
+    l_k, _ = loss_landmark(b.landmarks, b.support)
+    l_s, _ = loss_segmentation_ce(b.seg_logits, segmentation_from_signature(b.signature))
+    l_c, _ = signature_similarity_loss(b.features, b.signature, metric=b.metric)
+    total = total_train_loss(l_sep, l_k, l_s, l_c, b.weights)
     rows = [("sep", l_sep), ("K", l_k), ("S", l_s), ("C", l_c), ("total", total)]
     if args.out:
         with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["term", "value"])
-            for term, value in rows:
-                writer.writerow([term, repr(float(value))])
+            csv.writer(f).writerows([("term", "value")]
+                                    + [(term, repr(float(value))) for term, value in rows])
     for term, value in rows:
         print(f"{term},{value!r}")
     return 0
-
-
-def _signature_from_bundle(data, path):
-    sigdata = data.get("signature")
-    if sigdata is None:
-        raise CodecError("missing", path=path, field="signature")
-    n = int(data["granularity"])
-    entries = []
-    for row in sigdata.get("pairs", []):
-        state = {"contact": ContactState.CONTACT,
-                 "masked": ContactState.MASKED,
-                 "no-contact": ContactState.NO_CONTACT}.get(row.get("state"))
-        if state is None:
-            raise CodecError(f"unknown state {row.get('state')!r}", path=path,
-                             field="signature.pairs")
-        entries.append(((int(io._require(row, "r1", path)),
-                         int(io._require(row, "r2", path))), state))
-    sig = ContactSignature(n, entries)
-    support = ImageSupport(n, {int(r["r"]): (r["x"], r["y"])
-                               for r in data.get("support", [])})
-    return sig, support
 
 
 def _cmd_export_obj(args):
@@ -289,6 +236,15 @@ def _cmd_export_obj(args):
     io.save_obj(pose_mesh(model, params), model.faces, args.out)
     print(f"wrote {model.num_vertices} vertices, {model.num_faces} faces")
     return 0
+
+
+def _grid(text):
+    """A threshold grid: comma-separated numbers."""
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _build_parser():
@@ -343,9 +299,9 @@ def _build_parser():
     p = sub.add_parser("sweep", help="pick filter thresholds on a validation set")
     p.add_argument("--manifest", required=True,
                    help="JSON list of {prediction, ground_truth} paths")
-    p.add_argument("--tau-s", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    p.add_argument("--tau-c", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    p.add_argument("--tau-dist", default="0.05,0.1,0.15,0.2,0.3,0.5")
+    p.add_argument("--tau-s", type=_grid, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    p.add_argument("--tau-c", type=_grid, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    p.add_argument("--tau-dist", type=_grid, default="0.05,0.1,0.15,0.2,0.3,0.5")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -205,6 +205,5 @@ def contact_distance_error(centers, sig, region_map):
         ids2 = np.flatnonzero(region_map.facet_to_region == r2)
         if len(ids1) == 0 or len(ids2) == 0:
             raise ParameterError(f"contact pair ({r1}, {r2}) references an empty region")
-        d2 = ((centers[ids1][:, None, :] - centers[ids2][None, :, :]) ** 2).sum(axis=-1)
-        total += float(np.sqrt(d2.min()))
+        total += float(nearest_neighbors(centers[ids1], centers[ids2], ids2)[1].min())
     return 1000.0 * total / len(pairs)

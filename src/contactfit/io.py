@@ -6,21 +6,25 @@ byte-identical files.
 """
 
 import csv
+import functools
 import json
+from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
 from .body import BodyModel, Camera, PoseParams
 from .contact import (ContactSignature, ContactState, ImageSupport,
                       segmentation_from_signature)
-from .errors import CodecError
+from .errors import CodecError, ContactFitError
 from .evaluation import EvalRecord
 from .inference_filter import FilterConfig, RawPrediction
 from .regions import CoarsenMap, RegionMap
+from .train_losses import (DEFAULT_SIGMA_SQ_SEP, LandmarkSet, LossWeights,
+                           softargmax)
 
-_STATE_NAMES = {ContactState.CONTACT: "contact", ContactState.MASKED: "masked",
-                ContactState.NO_CONTACT: "no-contact"}
-_STATE_VALUES = {v: k for k, v in _STATE_NAMES.items()}
+_STATE_VALUES = {"contact": ContactState.CONTACT, "masked": ContactState.MASKED,
+                 "no-contact": ContactState.NO_CONTACT}
 
 
 def _dump(obj, path):
@@ -30,13 +34,29 @@ def _dump(obj, path):
 
 
 def _load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as e:
-        raise CodecError(f"invalid JSON: {e}", path=path) from e
-    except OSError as e:
-        raise CodecError(str(e), path=path) from e
+    with open(path) as f:
+        return json.load(f)
+
+
+def _decoder(what):
+    """Decorator of a `load_*(path)`: a missing file, bad JSON or any
+    malformed content raises a CodecError naming the file."""
+    def wrap(load):
+        @functools.wraps(load)
+        def decode(path):
+            try:
+                return load(path)
+            except CodecError:
+                raise
+            except OSError as e:
+                raise CodecError(str(e), path=path) from e
+            except json.JSONDecodeError as e:
+                raise CodecError(f"invalid JSON: {e}", path=path) from e
+            except (ValueError, TypeError, KeyError, IndexError, AttributeError,
+                    ContactFitError) as e:
+                raise CodecError(f"invalid {what}: {e}", path=path) from e
+        return decode
+    return wrap
 
 
 def _require(data, field, path, kind=None):
@@ -67,6 +87,7 @@ def save_body_model(model, path):
     }, path)
 
 
+@_decoder("body model")
 def load_body_model(path):
     data = _load(path)
     verts = np.asarray(_require(data, "vertices", path, list), dtype=float)
@@ -80,10 +101,7 @@ def load_body_model(path):
     regressor = np.zeros((len(joints), len(verts)))
     for j, v, w in _require(data, "regressor", path, list):
         regressor[int(j), int(v)] = float(w)
-    try:
-        return BodyModel(verts, faces, parents, offsets, weights, regressor)
-    except Exception as e:
-        raise CodecError(f"invalid body model: {e}", path=path) from e
+    return BodyModel(verts, faces, parents, offsets, weights, regressor)
 
 
 # -- pose parameters ----------------------------------------------------
@@ -94,16 +112,12 @@ def save_pose_params(params, path):
            "shape": params.shape.tolist()}, path)
 
 
+@_decoder("pose params")
 def load_pose_params(path):
     data = _load(path)
-    try:
-        return PoseParams(np.asarray(_require(data, "joint_rotations", path, list)),
-                          np.asarray(_require(data, "translation", path, list)),
-                          np.asarray(_require(data, "shape", path, list)))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid pose params: {e}", path=path) from e
+    return PoseParams(np.asarray(_require(data, "joint_rotations", path, list)),
+                      np.asarray(_require(data, "translation", path, list)),
+                      np.asarray(_require(data, "shape", path, list)))
 
 
 # -- camera -------------------------------------------------------------
@@ -114,19 +128,15 @@ def save_camera(camera, path):
            "translation": camera.translation.tolist()}, path)
 
 
+@_decoder("camera")
 def load_camera(path):
     data = _load(path)
-    try:
-        return Camera(fx=float(_require(data, "fx", path)),
-                      fy=float(_require(data, "fy", path)),
-                      cx=float(_require(data, "cx", path)),
-                      cy=float(_require(data, "cy", path)),
-                      rotation=np.asarray(_require(data, "rotation", path, list)),
-                      translation=np.asarray(_require(data, "translation", path, list)))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid camera: {e}", path=path) from e
+    return Camera(fx=float(_require(data, "fx", path)),
+                  fy=float(_require(data, "fy", path)),
+                  cx=float(_require(data, "cx", path)),
+                  cy=float(_require(data, "cy", path)),
+                  rotation=np.asarray(_require(data, "rotation", path, list)),
+                  translation=np.asarray(_require(data, "translation", path, list)))
 
 
 # -- regions ------------------------------------------------------------
@@ -136,15 +146,11 @@ def save_region_map(region_map, path):
            "facet_to_region": region_map.facet_to_region.tolist()}, path)
 
 
+@_decoder("region map")
 def load_region_map(path):
     data = _load(path)
-    try:
-        return RegionMap(int(_require(data, "granularity", path)),
-                         np.asarray(_require(data, "facet_to_region", path, list)))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid region map: {e}", path=path) from e
+    return RegionMap(int(_require(data, "granularity", path)),
+                     np.asarray(_require(data, "facet_to_region", path, list)))
 
 
 def save_coarsen_map(cmap, path):
@@ -152,16 +158,12 @@ def save_coarsen_map(cmap, path):
            "map": cmap.mapping.tolist()}, path)
 
 
+@_decoder("coarsen map")
 def load_coarsen_map(path):
     data = _load(path)
-    try:
-        return CoarsenMap(int(_require(data, "fine", path)),
-                          int(_require(data, "coarse", path)),
-                          np.asarray(_require(data, "map", path, list)))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid coarsen map: {e}", path=path) from e
+    return CoarsenMap(int(_require(data, "fine", path)),
+                      int(_require(data, "coarse", path)),
+                      np.asarray(_require(data, "map", path, list)))
 
 
 # -- annotation (signature + image support) -----------------------------
@@ -177,6 +179,7 @@ def save_annotation(signature, support, path):
            "support": supp}, path)
 
 
+@_decoder("annotation")
 def load_annotation(path):
     """Returns (ContactSignature, ImageSupport).
 
@@ -184,9 +187,16 @@ def load_annotation(path):
     regions become masked (unless annotated contact).
     """
     data = _load(path)
-    n = int(_require(data, "granularity", path))
+    return _annotation_from(int(_require(data, "granularity", path)), data,
+                            data.get("support", []), path)
+
+
+def _annotation_from(n, sigdata, support_rows, path):
+    """(ContactSignature, ImageSupport) at granularity n from the `pairs`
+    and optional `masked_regions` of sigdata and the support rows. A pair
+    listed twice, or support on a region not in contact, is a CodecError."""
     annotated = {}  # (lo, hi) -> state name
-    for row in _require(data, "pairs", path, list):
+    for row in _require(sigdata, "pairs", path, list):
         state = _require(row, "state", path)
         if state not in _STATE_VALUES:
             raise CodecError(f"unknown state {state!r}", path=path, field="pairs")
@@ -197,7 +207,7 @@ def load_annotation(path):
             what = f"listed twice as {state}" if prev == state else f"both {prev} and {state}"
             raise CodecError(f"pair {pair} is {what}", path=path, field="pairs")
         annotated[pair] = state
-    for r in data.get("masked_regions", []):
+    for r in sigdata.get("masked_regions", []):
         r = int(r)
         if not 0 <= r < n:
             raise CodecError(f"region {r} out of range", path=path,
@@ -205,19 +215,57 @@ def load_annotation(path):
         for other in range(n):
             if other != r:
                 annotated.setdefault((min(r, other), max(r, other)), "masked")
-    try:
-        sig = ContactSignature(n, [(pair, _STATE_VALUES[state])
-                                   for pair, state in annotated.items()])
-        support = ImageSupport(n, {int(row["r"]): (row["x"], row["y"])
-                                   for row in data.get("support", [])})
-    except Exception as e:
-        raise CodecError(f"invalid annotation: {e}", path=path) from e
+    sig = ContactSignature(n, [(pair, _STATE_VALUES[state])
+                               for pair, state in annotated.items()])
+    support = ImageSupport(n, {int(_require(row, "r", path)):
+                               (_require(row, "x", path), _require(row, "y", path))
+                               for row in support_rows})
     seg = segmentation_from_signature(sig)
     for r in support.regions():
         if seg.states[r] != ContactState.CONTACT:
             raise CodecError(f"support on non-contact region {r}", path=path,
                              field="support")
     return sig, support
+
+
+# -- training-loss bundle ------------------------------------------------
+
+# the inputs of the training-loss terms, as load_loss_bundle reads them
+LossBundle = namedtuple("LossBundle", ["signature", "support", "landmarks", "seg_logits",
+                                       "features", "metric", "sigma_sq_sep", "weights"])
+
+
+@_decoder("loss bundle")
+def load_loss_bundle(path):
+    """A LossBundle. The signature and support decode as an annotation's
+    do; the landmarks are given, or are the soft-argmax of `heatmaps`."""
+    data = _load(path)
+    n = int(_require(data, "granularity", path))
+    sig, support = _annotation_from(n, _require(data, "signature", path, dict),
+                                     data.get("support", []), path)
+    coords = ([softargmax(h)[0] for h in data["heatmaps"]] if "heatmaps" in data
+              else _require(data, "landmarks", path))
+    return LossBundle(
+        sig, support, LandmarkSet(n, coords),
+        np.asarray(_require(data, "seg_logits", path), dtype=float),
+        np.asarray(_require(data, "features", path), dtype=float),
+        data.get("metric", "dot"), float(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP)),
+        LossWeights(**{k: float(v) for k, v in data.get("weights", {}).items()}))
+
+
+# -- sweep manifest ------------------------------------------------------
+
+@_decoder("manifest")
+def load_manifest(path):
+    """[(prediction path, ground-truth path)] of a sweep manifest, a JSON
+    list of {prediction, ground_truth} rows; the paths are resolved against
+    the manifest's folder."""
+    rows = _load(path)
+    if not isinstance(rows, list):
+        raise CodecError("expected a list of {prediction, ground_truth} rows", path=path)
+    base = Path(path).parent
+    return [(base / _require(row, "prediction", path),
+             base / _require(row, "ground_truth", path)) for row in rows]
 
 
 # -- raw predictions and filter config ----------------------------------
@@ -233,6 +281,7 @@ def save_prediction(pred, path):
            "landmarks": landmarks}, path)
 
 
+@_decoder("prediction")
 def load_prediction(path):
     data = _load(path)
     n = int(_require(data, "granularity", path))
@@ -242,30 +291,21 @@ def load_prediction(path):
             float(_require(row, "p", path))
     landmarks = [[np.nan, np.nan] if lm is None else lm
                  for lm in _require(data, "landmarks", path, list)]
-    try:
-        return RawPrediction(n, probs,
-                             np.asarray(_require(data, "segmentation_probs", path, list)),
-                             np.asarray(landmarks, dtype=float))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid prediction: {e}", path=path) from e
+    return RawPrediction(n, probs,
+                         np.asarray(_require(data, "segmentation_probs", path, list)),
+                         np.asarray(landmarks, dtype=float))
 
 
 def save_filter_config(cfg, path):
     _dump({"tau_s": cfg.tau_s, "tau_c": cfg.tau_c, "tau_dist": cfg.tau_dist}, path)
 
 
+@_decoder("filter config")
 def load_filter_config(path):
     data = _load(path)
-    try:
-        return FilterConfig(tau_s=float(_require(data, "tau_s", path)),
-                            tau_c=float(_require(data, "tau_c", path)),
-                            tau_dist=float(_require(data, "tau_dist", path)))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid filter config: {e}", path=path) from e
+    return FilterConfig(tau_s=float(_require(data, "tau_s", path)),
+                        tau_c=float(_require(data, "tau_c", path)),
+                        tau_dist=float(_require(data, "tau_dist", path)))
 
 
 # -- keypoints ----------------------------------------------------------
@@ -275,6 +315,7 @@ def save_keypoints(keypoints, keypoint_joints, path):
                          for j, (x, y) in zip(keypoint_joints, keypoints)]}, path)
 
 
+@_decoder("keypoints")
 def load_keypoints(path):
     data = _load(path)
     rows = _require(data, "keypoints", path, list)
@@ -292,19 +333,15 @@ def save_eval_record(record, path):
            "V": record.vertex_error, "C": record.contact_distance}, path)
 
 
+@_decoder("eval record")
 def load_eval_record(path):
     data = _load(path)
-    try:
-        return EvalRecord(str(_require(data, "id", path)),
-                          str(_require(data, "class", path)),
-                          float(_require(data, "P", path)),
-                          float(_require(data, "T", path)),
-                          float(_require(data, "V", path)),
-                          None if data.get("C") is None else float(data["C"]))
-    except CodecError:
-        raise
-    except Exception as e:
-        raise CodecError(f"invalid eval record: {e}", path=path) from e
+    return EvalRecord(str(_require(data, "id", path)),
+                      str(_require(data, "class", path)),
+                      float(_require(data, "P", path)),
+                      float(_require(data, "T", path)),
+                      float(_require(data, "V", path)),
+                      None if data.get("C") is None else float(data["C"]))
 
 
 # -- reconstruction config (key = value lines) --------------------------
@@ -315,13 +352,18 @@ def save_config(config, path):
             f.write(f"{key} = {config[key]}\n")
 
 
+@_decoder("config")
 def load_config(path):
+    """{key: value} of `key = value` lines, a value read as a bool, an int,
+    a float or else a string; `#` starts a comment.
+
+    This is the one generic `key = value` parser, and it accepts any key:
+    the caller whitelists the keys it knows (`contactfit reconstruct`
+    rejects the others, and casts each value to its field's type).
+    """
     out = {}
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise CodecError(str(e), path=path) from e
+    with open(path) as f:
+        lines = f.readlines()
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -331,6 +373,8 @@ def load_config(path):
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if not key:
+            raise CodecError(f"line {lineno} has no key", path=path)
         if raw.lower() in ("true", "false"):
             out[key] = raw.lower() == "true"
             continue
@@ -355,14 +399,12 @@ def save_obj(verts, faces, path):
             f.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 
+@_decoder("OBJ mesh")
 def load_obj(path):
     verts = []
     faces = []
-    try:
-        with open(path) as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise CodecError(str(e), path=path) from e
+    with open(path) as f:
+        lines = f.readlines()
     for lineno, line in enumerate(lines, 1):
         parts = line.split()
         if not parts or parts[0] not in ("v", "f"):

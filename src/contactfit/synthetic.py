@@ -22,6 +22,7 @@ from .contact import ContactSignature, ImageSupport
 from .errors import ParameterError
 from .regions import CoarsenMap, RegionMap
 from .rotations import axis_angle_from_matrix, rodrigues, rotation_between
+from .spatial import nearest_neighbors
 
 JOINT_NAMES = [
     "pelvis", "spine", "chest", "neck", "head",
@@ -554,9 +555,9 @@ def _min_gap(body, params, r1, r2):
     ids2 = np.flatnonzero(body.region_map.facet_to_region == r2)
     c1 = geom.centers[ids1]
     c2 = geom.centers[ids2]
-    d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(axis=-1)
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    return float(np.sqrt(d2[i, j])), c1[i], c2[j]
+    j, d = nearest_neighbors(c1, c2, np.arange(len(c2)))
+    i = np.argmin(d)
+    return float(d[i]), c1[i], c2[j[i]]
 
 
 def _arm_joint_names(side):

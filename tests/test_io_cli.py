@@ -205,6 +205,130 @@ class TestCodecErrors:
             io.load_annotation(path)
 
 
+_BODY = {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": [[0, 1, 2]],
+         "joints": [{"parent": -1, "offset": [0, 0, 0]}],
+         "weights": [[0, 0, 1.0], [1, 0, 1.0], [2, 0, 1.0]], "regressor": [[0, 0, 1.0]]}
+_POSE = {"joint_rotations": [[0, 0, 0]], "translation": [0, 0, 0], "shape": [1, 1, 1]}
+_CAMERA = {"fx": 500, "fy": 500, "cx": 0, "cy": 0, "translation": [0, 0, 2],
+           "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+_ANNOTATION = {"granularity": 3, "pairs": [{"r1": 0, "r2": 1, "state": "contact"}],
+               "support": [{"r": 0, "x": 0.5, "y": 0.5}]}
+_PREDICTION = {"granularity": 2, "signature_probs": [{"r1": 0, "r2": 1, "p": 0.5}],
+               "segmentation_probs": [0.5, 0.5], "landmarks": [[0.5, 0.5], None]}
+_FILTER = {"tau_s": 0.5, "tau_c": 0.5, "tau_dist": 0.1}
+_RECORD = {"id": "a", "class": "standing", "P": 1.0, "T": 1.0, "V": 1.0, "C": None}
+_BUNDLE = {"granularity": 2, "landmarks": [[0.2, 0.2], [0.2, 0.2]],
+           "features": [[1.0], [1.0]], "seg_logits": [2.0, 2.0],
+           "signature": {"pairs": [{"r1": 0, "r2": 1, "state": "contact"}]},
+           "support": [{"r": 0, "x": 0.2, "y": 0.2}]}
+_MANIFEST = [{"prediction": "p.json", "ground_truth": "g.json"}]
+_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+
+# every io.load_*: a valid file, then that file with a bad cast, with a row
+# of the wrong kind (not an object where one is expected), and with a row
+# of the wrong arity; a missing file is a fourth case for every loader
+_MALFORMED = {
+    "load_body_model": (_BODY, {
+        "bad cast": {**_BODY, "weights": [["a", 0, 1.0]]},
+        "non-object row": {**_BODY, "joints": [5]},
+        "wrong arity": {**_BODY, "weights": [[0, 0]]}}),
+    "load_pose_params": (_POSE, {
+        "bad cast": {**_POSE, "joint_rotations": [["a", 0, 0]]},
+        "non-object row": 5,
+        "wrong arity": {**_POSE, "joint_rotations": [[0, 0]]}}),
+    "load_camera": (_CAMERA, {
+        "bad cast": {**_CAMERA, "fx": "a"},
+        "non-object row": [_CAMERA],
+        "wrong arity": {**_CAMERA, "rotation": [[1, 0], [0, 1], [0, 0]]}}),
+    "load_region_map": ({"granularity": 1, "facet_to_region": [0]}, {
+        "bad cast": {"granularity": "a", "facet_to_region": [0]},
+        "non-object row": {"granularity": 1, "facet_to_region": [{}]},
+        "wrong arity": {"granularity": 1, "facet_to_region": [[0, 0]]}}),
+    "load_coarsen_map": ({"fine": 2, "coarse": 1, "map": [0, 0]}, {
+        "bad cast": {"fine": "a", "coarse": 1, "map": [0, 0]},
+        "non-object row": {"fine": 2, "coarse": 1, "map": [0, {}]},
+        "wrong arity": {"fine": 2, "coarse": 1, "map": [0]}}),
+    "load_annotation": (_ANNOTATION, {
+        "bad cast": {**_ANNOTATION, "pairs": [{"r1": "a", "r2": 1, "state": "contact"}]},
+        "non-object row": {**_ANNOTATION, "pairs": [5]},
+        "wrong arity": {**_ANNOTATION, "support": [{"r": 0, "x": 0.5}]}}),
+    "load_prediction": (_PREDICTION, {
+        "bad cast": {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1, "p": "a"}]},
+        "non-object row": {**_PREDICTION, "signature_probs": [5]},
+        "wrong arity": {**_PREDICTION, "landmarks": [[0.5], None]}}),
+    "load_filter_config": (_FILTER, {
+        "bad cast": {**_FILTER, "tau_s": "a"},
+        "non-object row": 5,
+        "wrong arity": {**_FILTER, "tau_s": [0.5, 0.5]}}),
+    "load_keypoints": ({"keypoints": [{"joint": 0, "x": 1.0, "y": 2.0}]}, {
+        "bad cast": {"keypoints": [{"joint": "a", "x": 1.0, "y": 2.0}]},
+        "non-object row": {"keypoints": [5]},
+        "wrong arity": {"keypoints": [{"joint": 0, "x": 1.0}]}}),
+    "load_eval_record": (_RECORD, {
+        "bad cast": {**_RECORD, "P": "a"},
+        "non-object row": 5,
+        "wrong arity": {**_RECORD, "P": [1.0, 2.0]}}),
+    "load_loss_bundle": (_BUNDLE, {
+        "bad cast": {**_BUNDLE, "seg_logits": ["a", 2.0]},
+        "non-object row": {**_BUNDLE, "signature": {"pairs": [5]}},
+        "wrong arity": {**_BUNDLE, "support": [{"r": 0, "x": 0.2}]}}),
+    "load_manifest": (_MANIFEST, {
+        "bad cast": [{"prediction": 5, "ground_truth": "g.json"}],
+        "non-object row": ["prediction.json"],
+        "wrong arity": [{"prediction": "p.json"}]}),
+    "load_config": ("iterations = 5\n", {
+        "bad cast": b"iterations = 5\n\xff\xfe\n",
+        "non-object row": "= 5\n",
+        "wrong arity": "iterations 5\n"}),
+    "load_obj": (_OBJ, {
+        "bad cast": _OBJ.replace("v 0 1 0", "v 0 1 a"),
+        "non-object row": _OBJ.replace("f 1 2 3", "f 1 2 a"),
+        "wrong arity": _OBJ.replace("v 0 1 0", "v 0 1")}),
+}
+_LOADERS = sorted(name for name in dir(io) if name.startswith("load_"))
+
+
+def _write(path, content):
+    if content is None:
+        pass
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_text(json.dumps(content))
+    return path
+
+
+class TestEveryLoader:
+    def test_every_loader_has_malformed_files(self):
+        assert _LOADERS == sorted(_MALFORMED)
+
+    @pytest.mark.parametrize("case", ["bad cast", "non-object row", "wrong arity",
+                                      "missing file"])
+    @pytest.mark.parametrize("name", _LOADERS)
+    def test_malformed_file_is_a_codec_error_naming_it(self, tmp_path, name, case):
+        load = getattr(io, name)
+        valid, malformed = _MALFORMED[name]
+        load(_write(tmp_path / "valid.txt", valid))
+        path = _write(tmp_path / "in.txt", malformed.get(case))
+        with pytest.raises(CodecError) as err:
+            load(path)
+        assert err.value.path == path and str(path) in str(err.value)
+
+    def test_loss_bundle_decodes_its_signature_as_an_annotation(self, tmp_path):
+        bundle = io.load_loss_bundle(_write(tmp_path / "b.json", _BUNDLE))
+        ann = io.load_annotation(_write(tmp_path / "a.json", {**_BUNDLE["signature"],
+                                 "granularity": 2, "support": _BUNDLE["support"]}))
+        assert (bundle.signature, bundle.support) == ann
+
+    def test_manifest_paths_resolve_against_its_folder(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        path = _write(tmp_path / "sub" / "m.json", _MANIFEST)
+        assert io.load_manifest(path) == [(tmp_path / "sub" / "p.json",
+                                           tmp_path / "sub" / "g.json")]
+
+
 class TestCli:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2
@@ -358,6 +482,29 @@ class TestCli:
         assert values["K"] == 0.0
         assert values["total"] == pytest.approx(
             5 * values["sep"] + 5 * values["K"] + values["S"] + values["C"])
+
+    @pytest.mark.parametrize("name, content", [
+        ("bundle.json", {**_BUNDLE, "support": [{"r": 0, "x": 0.2}]}),
+        ("bundle.json",
+         {**_BUNDLE, "signature": {"pairs": [{"r1": 0, "r2": 1, "state": "contact"},
+                                             {"r1": 1, "r2": 0, "state": "contact"}]}}),
+        ("manifest.json", ["prediction.json"])])
+    def test_malformed_input_exits_1_naming_the_file(self, tmp_path, capsys, name, content):
+        path = _write(tmp_path / name, content)
+        argv = (["losses", "--in", str(path)] if name == "bundle.json" else
+                ["sweep", "--manifest", str(path), "--out", str(tmp_path / "cfg.json")])
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    def test_sweep_rejects_a_bad_grid_as_a_usage_error(self, tmp_path, capsys):
+        manifest = _write(tmp_path / "manifest.json", [])
+        code = cli_dispatch(["sweep", "--manifest", str(manifest), "--tau-s", "abc",
+                             "--out", str(tmp_path / "cfg.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "argument --tau-s" in err and "'abc'" in err
+        assert not (tmp_path / "cfg.json").exists()
 
     def test_losses_with_heatmaps(self, tmp_path):
         bundle = {
