@@ -161,7 +161,7 @@ def _cmd_filter(args):
     cfg = io.load_filter_config(args.config) if args.config else FilterConfig()
     sig = filter_signature(pred, cfg)
     io.save_annotation(sig, ImageSupport(sig.granularity, {}), args.out)
-    print(f"kept {len(sig.contact_pairs())} of {len(pred.signature_probs)} pairs")
+    print(f"kept {len(sig.contact_pairs())} of {len(pred.pair_probs)} pairs")
     return 0
 
 

@@ -18,32 +18,79 @@ from .errors import GranularityError, ParameterError
 
 class RawPrediction:
     """Raw network-style outputs: pair probabilities, per-region
-    segmentation probabilities and predicted landmarks (NaN = missing)."""
+    segmentation probabilities and predicted landmarks (NaN = missing).
+
+    The pairs are held as sorted arrays, not a dict: `pairs` is (M, 2)
+    region indices with r1 < r2 in each row and the rows in lexicographic
+    order, and `pair_probs` is their (M,) probabilities. Both are sorted once
+    here and are read-only, so filtering needs no sort: a sweep costs one
+    sort per prediction rather than one per grid point.
+
+    `signature_probs` is a {(r1, r2): p} dict or an iterable of
+    ((r1, r2), p); `from_arrays` takes the two columns. A pair with r1 == r2
+    or a region out of range, a probability outside [0, 1] (NaN included)
+    and a pair given twice, in either order, are ParameterErrors.
+    """
 
     def __init__(self, granularity, signature_probs, segmentation_probs, landmarks):
-        self.granularity = int(granularity)
+        if isinstance(signature_probs, dict):
+            pairs, probs = list(signature_probs), list(signature_probs.values())
+        else:
+            items = list(signature_probs)
+            pairs, probs = [pair for pair, _ in items], [p for _, p in items]
+        self._set(granularity, pairs, probs, segmentation_probs, landmarks)
+
+    @classmethod
+    def from_arrays(cls, granularity, pairs, pair_probs, segmentation_probs, landmarks):
+        """A prediction from (M, 2) region pairs, in any order, and their
+        (M,) probabilities."""
+        pred = cls.__new__(cls)
+        pred._set(granularity, pairs, pair_probs, segmentation_probs, landmarks)
+        return pred
+
+    def _set(self, granularity, pairs, probs, segmentation_probs, landmarks):
+        n = self.granularity = int(granularity)
         seg = np.asarray(segmentation_probs, dtype=float)
         lms = np.asarray(landmarks, dtype=float)
-        if seg.shape != (self.granularity,):
+        if seg.shape != (n,):
             raise ParameterError("segmentation_probs must be (granularity,)")
-        if lms.shape != (self.granularity, 2):
+        if lms.shape != (n, 2):
             raise ParameterError("landmarks must be (granularity, 2)")
         if seg.min() < 0.0 or seg.max() > 1.0:
             raise ParameterError("segmentation probabilities must be in [0,1]")
-        probs = {}
-        items = (signature_probs.items() if isinstance(signature_probs, dict)
-                 else signature_probs)
-        for (r1, r2), p in items:
-            r1, r2 = int(r1), int(r2)
-            if r1 == r2 or not (0 <= r1 < granularity and 0 <= r2 < granularity):
-                raise ParameterError(f"invalid pair ({r1}, {r2})")
-            p = float(p)
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"pair probability {p} outside [0,1]")
-            probs[(min(r1, r2), max(r1, r2))] = p
-        self.signature_probs = probs
+        pairs = np.asarray(pairs, dtype=np.int64)
+        probs = np.asarray(probs, dtype=float)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ParameterError("pairs must be (M, 2) region indices")
+        if probs.shape != (len(pairs),):
+            raise ParameterError("need one probability per pair")
+        r1, r2 = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+        bad_pair = (r1 == r2) | (lo < 0) | (hi >= n)
+        bad = bad_pair | ~((probs >= 0.0) & (probs <= 1.0))  # NaN is bad
+        if bad.any():
+            i = int(bad.argmax())  # the first invalid pair in input order
+            if bad_pair[i]:
+                raise ParameterError(f"invalid pair ({r1[i]}, {r2[i]})")
+            raise ParameterError(f"pair probability {float(probs[i])} outside [0,1]")
+        order = np.argsort(lo * n + hi, kind="stable")
+        pairs = np.stack([lo[order], hi[order]], axis=1)
+        repeated = np.flatnonzero((pairs[1:] == pairs[:-1]).all(axis=1))
+        if repeated.size:
+            a, b = pairs[repeated[0]]
+            raise ParameterError(f"pair ({a}, {b}) given twice")
+        probs = probs[order]
+        pairs.flags.writeable = probs.flags.writeable = False
+        self.pairs, self.pair_probs = pairs, probs
         self.segmentation_probs = seg
         self.landmarks = lms
+
+    @property
+    def signature_probs(self):
+        """{(r1, r2): p} with r1 < r2, built from the arrays."""
+        return dict(zip(map(tuple, self.pairs.tolist()), self.pair_probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -71,36 +118,32 @@ def threshold_segmentation(pred, tau_s):
 
 def threshold_signature(pred, tau_c):
     """Signature from pair probabilities alone (no consistency rules)."""
-    contact = [p for p, prob in pred.signature_probs.items() if prob >= tau_c]
-    return ContactSignature.from_sets(pred.granularity, contact=contact)
+    contact = pred.pairs[pred.pair_probs >= tau_c]
+    return ContactSignature.from_sets(pred.granularity, contact=contact.tolist())
 
 
 def filter_signature(pred, cfg):
     """Apply probability, segmentation and landmark-proximity rules.
 
     A region that survives tau_s but has no landmark loses all its pairs
-    (with a warning).
+    (with a warning, once per region, in the order of the sorted pairs).
     """
     seg_ok = pred.segmentation_probs >= cfg.tau_s
-    missing_warned = set()
-    contact = []
-    for (r1, r2), prob in sorted(pred.signature_probs.items()):
-        if prob < cfg.tau_c:
-            continue
-        if not (seg_ok[r1] and seg_ok[r2]):
-            continue
-        lm1, lm2 = pred.landmarks[r1], pred.landmarks[r2]
-        missing = [r for r, lm in ((r1, lm1), (r2, lm2)) if not np.isfinite(lm).all()]
-        if missing:
-            for r in missing:
-                if r not in missing_warned:
-                    missing_warned.add(r)
-                    warnings.warn(f"region {r} has no landmark; dropping its pairs",
-                                  stacklevel=2)
-            continue
-        if np.linalg.norm(lm1 - lm2) <= cfg.tau_dist:
-            contact.append((r1, r2))
-    return ContactSignature.from_sets(pred.granularity, contact=contact)
+    # the probability rule first: it leaves few pairs for the others
+    pairs = pred.pairs[np.flatnonzero(pred.pair_probs >= cfg.tau_c)]
+    pairs = pairs[seg_ok[pairs].all(axis=1)]
+    has_landmark = np.isfinite(pred.landmarks).all(axis=1)[pairs]
+    # pairs[~has_landmark] is row-major: r1 before r2, pair by pair
+    for r in dict.fromkeys(pairs[~has_landmark].tolist()):
+        warnings.warn(f"region {r} has no landmark; dropping its pairs", stacklevel=2)
+    pairs = pairs[has_landmark.all(axis=1)]
+    d = pred.landmarks[pairs[:, 0]] - pred.landmarks[pairs[:, 1]]
+    # a (1, 2) @ (2, 1) product per pair is the BLAS dot that np.linalg.norm
+    # takes, so the distance equals norm(lm1 - lm2) to the bit;
+    # sqrt(d0*d0 + d1*d1), einsum and norm(axis=1) round differently
+    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    contact = pairs[dist <= cfg.tau_dist]
+    return ContactSignature.from_sets(pred.granularity, contact=contact.tolist())
 
 
 def sweep_thresholds(predictions, ground_truths, tau_s_grid, tau_c_grid,

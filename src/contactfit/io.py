@@ -20,8 +20,8 @@ from .errors import CodecError, ContactFitError
 from .evaluation import EvalRecord
 from .inference_filter import FilterConfig, RawPrediction
 from .regions import CoarsenMap, RegionMap
-from .train_losses import (DEFAULT_SIGMA_SQ_SEP, LandmarkSet, LossWeights,
-                           softargmax)
+from .train_losses import (DEFAULT_SIGMA_SQ_SEP, SIMILARITY_METRICS, LandmarkSet,
+                           LossWeights, softargmax)
 
 _STATE_VALUES = {"contact": ContactState.CONTACT, "masked": ContactState.MASKED,
                  "no-contact": ContactState.NO_CONTACT}
@@ -53,7 +53,7 @@ def _decoder(what):
             except json.JSONDecodeError as e:
                 raise CodecError(f"invalid JSON: {e}", path=path) from e
             except (ValueError, TypeError, KeyError, IndexError, AttributeError,
-                    ContactFitError) as e:
+                    OverflowError, ContactFitError) as e:
                 raise CodecError(f"invalid {what}: {e}", path=path) from e
         return decode
     return wrap
@@ -245,12 +245,26 @@ def load_loss_bundle(path):
                                      data.get("support", []), path)
     coords = ([softargmax(h)[0] for h in data["heatmaps"]] if "heatmaps" in data
               else _require(data, "landmarks", path))
+    metric = data.get("metric", "dot")
+    if metric not in SIMILARITY_METRICS:
+        raise CodecError(f"unknown similarity metric {metric!r}", path=path, field="metric")
     return LossBundle(
         sig, support, LandmarkSet(n, coords),
-        np.asarray(_require(data, "seg_logits", path), dtype=float),
-        np.asarray(_require(data, "features", path), dtype=float),
-        data.get("metric", "dot"), float(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP)),
+        _finite_rows(data, "seg_logits", path, n, 1),
+        _finite_rows(data, "features", path, n, 2),
+        metric, float(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP)),
         LossWeights(**{k: float(v) for k, v in data.get("weights", {}).items()}))
+
+
+def _finite_rows(data, field, path, n, ndim):
+    """data[field] as a finite float array of `ndim` dimensions and n rows."""
+    arr = np.asarray(_require(data, field, path), dtype=float)
+    if arr.ndim != ndim or len(arr) != n:
+        want = f"({n},)" if ndim == 1 else f"({n}, d)"
+        raise CodecError(f"expected shape {want}, got {arr.shape}", path=path, field=field)
+    if not np.isfinite(arr).all():
+        raise CodecError("not finite", path=path, field=field)
+    return arr
 
 
 # -- sweep manifest ------------------------------------------------------
@@ -272,7 +286,7 @@ def load_manifest(path):
 
 def save_prediction(pred, path):
     probs = [{"r1": r1, "r2": r2, "p": p}
-             for (r1, r2), p in sorted(pred.signature_probs.items())]
+             for (r1, r2), p in zip(pred.pairs.tolist(), pred.pair_probs.tolist())]
     landmarks = [None if not np.isfinite(lm).all() else [float(lm[0]), float(lm[1])]
                  for lm in pred.landmarks]
     _dump({"granularity": pred.granularity,
@@ -285,15 +299,14 @@ def save_prediction(pred, path):
 def load_prediction(path):
     data = _load(path)
     n = int(_require(data, "granularity", path))
-    probs = {}
-    for row in _require(data, "signature_probs", path, list):
-        probs[(int(_require(row, "r1", path)), int(_require(row, "r2", path)))] = \
-            float(_require(row, "p", path))
+    rows = _require(data, "signature_probs", path, list)
+    r1, r2, probs = ([_require(row, f, path) for row in rows] for f in ("r1", "r2", "p"))
     landmarks = [[np.nan, np.nan] if lm is None else lm
                  for lm in _require(data, "landmarks", path, list)]
-    return RawPrediction(n, probs,
-                         np.asarray(_require(data, "segmentation_probs", path, list)),
-                         np.asarray(landmarks, dtype=float))
+    return RawPrediction.from_arrays(
+        n, np.array([r1, r2], dtype=np.int64).T, probs,
+        np.asarray(_require(data, "segmentation_probs", path, list)),
+        np.asarray(landmarks, dtype=float))
 
 
 def save_filter_config(cfg, path):

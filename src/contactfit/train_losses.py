@@ -13,6 +13,7 @@ from .contact import ContactState
 from .errors import GranularityError, ParameterError
 
 DEFAULT_SIGMA_SQ_SEP = 0.025
+SIMILARITY_METRICS = ("dot", "neg-sq-euclidean")
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def signature_similarity_loss(features, gt_sig, metric="dot", pos_weight=None):
         raise ParameterError("features must be (granularity, d)")
     if not np.isfinite(F).all():
         raise ParameterError("features must be finite")
-    if metric not in ("dot", "neg-sq-euclidean"):
+    if metric not in SIMILARITY_METRICS:
         raise ParameterError(f"unknown similarity metric {metric!r}")
     n = gt_sig.granularity
     pairs = [(r1, r2) for r1 in range(n) for r2 in range(r1 + 1, n)

@@ -219,3 +219,41 @@ class TestFilterImprovesIoU:
             before = iou_signature(threshold_signature(pred, cfg.tau_c), gt)
             after = iou_signature(filter_signature(pred, cfg), gt)
             assert after > before
+
+
+class TestRawPredictionArrays:
+    def test_pairs_are_normalised_and_sorted_once(self):
+        pred = make_prediction(5, [((3, 1), 0.25), ((2, 0), 0.5), ((4, 0), 0.1)])
+        assert pred.pairs.tolist() == [[0, 2], [0, 4], [1, 3]]
+        assert pred.pair_probs.tolist() == [0.5, 0.1, 0.25]
+        assert pred.signature_probs == {(0, 2): 0.5, (0, 4): 0.1, (1, 3): 0.25}
+        with pytest.raises(ValueError):
+            pred.pair_probs[0] = 1.0
+
+    def test_from_arrays_equals_the_dict_form(self):
+        probs = {(2, 1): 0.5, (0, 3): 0.75}
+        pred = RawPrediction.from_arrays(4, [[2, 1], [0, 3]], [0.5, 0.75],
+                                         np.zeros(4), np.zeros((4, 2)))
+        assert pred.signature_probs == make_prediction(4, probs).signature_probs
+
+    def test_no_pairs(self):
+        pred = make_prediction(3, [])
+        assert pred.pairs.shape == (0, 2) and pred.signature_probs == {}
+        assert filter_signature(pred, FilterConfig()).contact_pairs() == []
+
+    @pytest.mark.parametrize("items", [
+        [((0, 1), 0.5), ((2, 3), 0.5), ((0, 1), 0.5)],
+        [((1, 0), 0.5), ((2, 3), 0.5), ((0, 1), 0.25)],
+        {(0, 1): 0.5, (1, 0): 0.25},
+    ])
+    def test_a_pair_given_twice_is_rejected(self, items):
+        with pytest.raises(ParameterError, match=r"pair \(0, 1\) given twice"):
+            make_prediction(4, items)
+
+    @pytest.mark.parametrize("pairs, probs", [
+        ([[0, 1, 2]], [0.5]),
+        ([[0, 1]], [0.5, 0.5]),
+    ])
+    def test_from_arrays_rejects_mismatched_columns(self, pairs, probs):
+        with pytest.raises(ParameterError):
+            RawPrediction.from_arrays(4, pairs, probs, np.zeros(4), np.zeros((4, 2)))

@@ -561,3 +561,83 @@ def _reconstruct_args(bundle, cfg, out):
             "--camera", str(bundle / "camera.json"),
             "--init", str(bundle / "init_params.json"),
             "--config", str(cfg), "--out-dir", str(out)]
+
+
+class TestPredictionArrays:
+    # the bytes io.save_prediction wrote while a prediction held a dict and
+    # sorted it on saving: writing from the sorted arrays must not move them
+    PINNED = (
+        '{\n "granularity": 4,\n "landmarks": [\n  [\n   0.1,\n   0.2\n  ],\n'
+        '  null,\n  null,\n  [\n   1.0,\n   0.0\n  ]\n ],\n'
+        ' "segmentation_probs": [\n  0.5,\n  0.0,\n  1.0,\n  0.75\n ],\n'
+        ' "signature_probs": [\n'
+        '  {\n   "p": 0.1,\n   "r1": 0,\n   "r2": 1\n  },\n'
+        '  {\n   "p": 0.5,\n   "r1": 0,\n   "r2": 2\n  },\n'
+        '  {\n   "p": 0.0,\n   "r1": 0,\n   "r2": 3\n  },\n'
+        '  {\n   "p": 0.25,\n   "r1": 1,\n   "r2": 3\n  },\n'
+        '  {\n   "p": 1.0,\n   "r1": 2,\n   "r2": 3\n  }\n ]\n}\n')
+
+    def test_save_prediction_bytes_are_pinned(self, tmp_path):
+        pred = RawPrediction(4, [((3, 1), 0.25), ((2, 0), 0.5), ((1, 0), 0.1),
+                                 ((3, 2), 1.0), ((0, 3), 0.0)],
+                             [0.5, 0.0, 1.0, 0.75],
+                             [[0.1, 0.2], [np.nan, np.nan], [0.3, np.nan], [1.0, 0.0]])
+        path = tmp_path / "pred.json"
+        io.save_prediction(pred, path)
+        assert path.read_text() == self.PINNED
+        loaded = io.load_prediction(path)
+        assert loaded.pairs.tolist() == pred.pairs.tolist()
+        assert loaded.pair_probs.tolist() == pred.pair_probs.tolist()
+
+    @pytest.mark.parametrize("rows", [
+        [{"r1": 0, "r2": 1, "p": 0.5}, {"r1": 0, "r2": 1, "p": 0.5}],
+        [{"r1": 1, "r2": 0, "p": 0.5}, {"r1": 0, "r2": 1, "p": 0.25}],
+    ])
+    def test_load_prediction_rejects_a_pair_given_twice(self, tmp_path, rows):
+        path = _write(tmp_path / "pred.json", {**_PREDICTION, "signature_probs": rows})
+        with pytest.raises(CodecError, match=r"pair \(0, 1\) given twice") as err:
+            io.load_prediction(path)
+        assert err.value.path == path and str(path) in str(err.value)
+
+    @pytest.mark.parametrize("r1", ["1e400", str(2 ** 70)])
+    def test_load_prediction_rejects_an_index_beyond_int64(self, tmp_path, r1):
+        row = '{"r1": %s, "r2": 1, "p": 0.5}' % r1
+        path = tmp_path / "pred.json"
+        path.write_text(json.dumps(_PREDICTION).replace('{"r1": 0, "r2": 1, "p": 0.5}', row))
+        with pytest.raises(CodecError) as err:
+            io.load_prediction(path)
+        assert err.value.path == path
+
+    def test_load_prediction_names_a_missing_field(self, tmp_path):
+        path = _write(tmp_path / "pred.json",
+                      {**_PREDICTION, "signature_probs": [{"r1": 0, "p": 0.5}]})
+        with pytest.raises(CodecError) as err:
+            io.load_prediction(path)
+        assert err.value.field == "r2"
+
+    def test_filter_counts_pairs_from_the_arrays(self, tmp_path, capsys):
+        pred = RawPrediction(4, {(1, 0): 0.9, (3, 2): 0.2, (0, 2): 0.1},
+                             np.array([0.9, 0.9, 0.9, 0.9]), np.full((4, 2), 0.5))
+        io.save_prediction(pred, tmp_path / "pred.json")
+        assert cli_dispatch(["filter", "--pred", str(tmp_path / "pred.json"),
+                             "--out", str(tmp_path / "out.json")]) == 0
+        assert capsys.readouterr().out == "kept 1 of 3 pairs\n"
+
+
+class TestLossBundleChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("features", [[1.0], [1.0], [1.0]]),
+        ("features", [1.0, 1.0]),
+        ("features", [[1.0], [float("nan")]]),
+        ("seg_logits", [2.0]),
+        ("seg_logits", [2.0, float("inf")]),
+        ("metric", "cosine"),
+    ])
+    def test_losses_exits_1_naming_the_file_and_field(self, tmp_path, capsys,
+                                                       field, value):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({**_BUNDLE, field: value}))
+        assert cli_dispatch(["losses", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field '{field}': ")
+        assert "Traceback" not in err
