@@ -19,7 +19,7 @@ from .body import PoseParams, facet_geometry, joint_positions, pose_mesh
 from .contact import (ContactState, ImageSupport, contact_stats,
                       coarsen_signature, segmentation_from_signature)
 from .contact_geometry import contact_distance_error
-from .errors import CodecError, ContactFitError
+from .errors import CodecError, ContactFitError, ParameterError, check_number
 from .evaluation import (SCENARIO_CLASSES, EvalRecord, aggregate, mpjpe,
                          translation_error, vertex_error)
 from .inference_filter import FilterConfig, filter_signature, sweep_thresholds
@@ -65,16 +65,16 @@ _SELECTION_TYPES = {"selection_mode": str, "selection_k": int}
 
 
 def _cast_config(cfg, types, path=None):
-    """The keys of cfg named in types ({key: type}), each cast to its type.
-    A value that does not cast is a CodecError naming the file and key."""
+    """The keys of cfg named in types ({key: type}), each cast to its type;
+    an int or float one without loss, by `check_number`. A value that does
+    not cast is a CodecError naming the file and key."""
     kw = {}
     for key, cast in types.items():
         if key in cfg:
             try:
-                kw[key] = cast(cfg[key])
-            except (TypeError, ValueError) as e:
-                raise CodecError(f"expected {cast.__name__}: {e}", path=path,
-                                 field=key) from e
+                kw[key] = cast(cfg[key]) if cast is str else check_number(key, cfg[key], cast)
+            except (ParameterError, OverflowError) as e:  # an int past float range
+                raise CodecError(str(e), path=path, field=key) from e
     return kw
 
 

@@ -2,8 +2,10 @@
 
 The distance term between two regions is the bidirectional sum of
 nearest-neighbour facet-center distances; the normal term sums dot products
-of matched facet normals (minimized at anti-parallel). Matches are frozen
-by the caller between evaluations to keep gradients well-defined.
+of matched facet normals (minimized at anti-parallel). Matching is the one
+brute-force scan of `spatial.nearest_neighbors`, with ties to the lowest
+facet id. Matches are frozen by the caller between evaluations to keep
+gradients well-defined.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +17,6 @@ from .errors import GeometryError, ParameterError
 from .regions import region_facets
 from .spatial import nearest_neighbors
 
-# brute force is faster below this pair-count; both backends agree exactly
-_AUTO_BRUTE_LIMIT = 4096
 _ZERO_DIST = 1e-12
 
 
@@ -51,15 +51,7 @@ class ContactLossValue:
     per_pair_distance: dict               # (r1, r2) -> phi value
 
 
-def _resolve_method(n, m, method):
-    if method == "auto":
-        return "brute" if n * m <= _AUTO_BRUTE_LIMIT else "kdtree"
-    if method not in ("brute", "kdtree"):
-        raise ParameterError(f"unknown NN method {method!r}")
-    return method
-
-
-def phi_distance(centers, ids1, ids2, method="auto"):
+def phi_distance(centers, ids1, ids2):
     """Bidirectional nearest-neighbour distance between two facet sets.
 
     Sums, for each facet of one set, the distance to its nearest facet
@@ -71,10 +63,9 @@ def phi_distance(centers, ids1, ids2, method="auto"):
     if len(ids1) == 0 or len(ids2) == 0:
         raise ParameterError("phi_distance requires two non-empty facet sets")
     centers = np.asarray(centers, dtype=float)
-    method = _resolve_method(len(ids1), len(ids2), method)
 
-    nn12, d12 = nearest_neighbors(centers[ids1], centers[ids2], ids2, method)
-    nn21, d21 = nearest_neighbors(centers[ids2], centers[ids1], ids1, method)
+    nn12, d12 = nearest_neighbors(centers[ids1], centers[ids2], ids2)
+    nn21, d21 = nearest_neighbors(centers[ids2], centers[ids1], ids1)
     value = float(d12.sum()) + float(d21.sum())
 
     directed = [(int(f1), int(f2)) for f1, f2 in zip(ids1, nn12)]
@@ -83,25 +74,17 @@ def phi_distance(centers, ids1, ids2, method="auto"):
     return value, PairMatches(None, pairs, directed)
 
 
-def _selected(region_map, r, mode, k, centers):
-    ids = region_facets(region_map, r, mode=mode, k=k, centers=centers)
-    if len(ids) == 0:
-        raise ParameterError(f"region {r} selects no facets")
-    return ids
-
-
-def phi_distance_regions(centers, region_map, r1, r2, mode="all", k=2,
-                         method="auto"):
+def phi_distance_regions(centers, region_map, r1, r2, mode="all", k=2):
     """phi_distance between two regions under a facet selection mode."""
     lo, hi = min(r1, r2), max(r1, r2)
-    ids_lo = _selected(region_map, lo, mode, k, centers)
-    ids_hi = _selected(region_map, hi, mode, k, centers)
-    value, matches = phi_distance(centers, ids_lo, ids_hi, method)
+    ids_lo = region_facets(region_map, lo, mode=mode, k=k, centers=centers)
+    ids_hi = region_facets(region_map, hi, mode=mode, k=k, centers=centers)
+    value, matches = phi_distance(centers, ids_lo, ids_hi)
     matches.region_pair = (lo, hi)
     return value, matches
 
 
-def loss_distance(centers, sig, region_map, mode="all", k=2, method="auto"):
+def loss_distance(centers, sig, region_map, mode="all", k=2):
     """Sum of phi_distance over the signature's contact pairs.
 
     Masked pairs are excluded. Returns (value, MatchSet, per-pair dict).
@@ -112,8 +95,7 @@ def loss_distance(centers, sig, region_map, mode="all", k=2, method="auto"):
     per_pair = {}
     total = 0.0
     for r1, r2 in sig.contact_pairs():
-        value, pm = phi_distance_regions(centers, region_map, r1, r2,
-                                         mode=mode, k=k, method=method)
+        value, pm = phi_distance_regions(centers, region_map, r1, r2, mode=mode, k=k)
         matches.entries[(r1, r2)] = pm
         per_pair[(r1, r2)] = value
         total += value
@@ -179,11 +161,9 @@ def loss_normal(normals, matches):
     return _sum_in_order(_row_dots(n1, n2)), grad
 
 
-def contact_losses(centers, normals, sig, region_map, mode="all", k=2,
-                   method="auto"):
+def contact_losses(centers, normals, sig, region_map, mode="all", k=2):
     """Distance and normal losses with freshly computed matches."""
-    l_d, matches, per_pair = loss_distance(centers, sig, region_map,
-                                           mode=mode, k=k, method=method)
+    l_d, matches, per_pair = loss_distance(centers, sig, region_map, mode=mode, k=k)
     l_n, _ = loss_normal(normals, matches) if matches.entries else (0.0, None)
     return ContactLossValue(l_d, l_n, per_pair), matches
 

@@ -13,7 +13,7 @@ import numpy as np
 from .contact import (ContactSegmentation, ContactSignature, ContactState,
                       iou_segmentation, iou_signature,
                       segmentation_from_signature)
-from .errors import GranularityError, ParameterError
+from .errors import GranularityError, ParameterError, check_settings
 
 
 class RawPrediction:
@@ -28,8 +28,9 @@ class RawPrediction:
 
     `signature_probs` is a {(r1, r2): p} dict or an iterable of
     ((r1, r2), p); `from_arrays` takes the two columns. A pair with r1 == r2
-    or a region out of range, a probability outside [0, 1] (NaN included)
-    and a pair given twice, in either order, are ParameterErrors.
+    or a region out of range, a pair or segmentation probability outside
+    [0, 1] (NaN included) and a pair given twice, in either order, are
+    ParameterErrors.
     """
 
     def __init__(self, granularity, signature_probs, segmentation_probs, landmarks):
@@ -56,7 +57,7 @@ class RawPrediction:
             raise ParameterError("segmentation_probs must be (granularity,)")
         if lms.shape != (n, 2):
             raise ParameterError("landmarks must be (granularity, 2)")
-        if seg.min() < 0.0 or seg.max() > 1.0:
+        if not ((seg >= 0.0) & (seg <= 1.0)).all():  # NaN is out of range
             raise ParameterError("segmentation probabilities must be in [0,1]")
         pairs = np.asarray(pairs, dtype=np.int64)
         probs = np.asarray(probs, dtype=float)
@@ -103,6 +104,7 @@ class FilterConfig:
     tau_dist: float = 0.1
 
     def __post_init__(self):
+        check_settings(self)
         if not (0.0 < self.tau_s < 1.0 and 0.0 < self.tau_c < 1.0):
             raise ParameterError("tau_s and tau_c must be in (0, 1)")
         if self.tau_dist <= 0.0:

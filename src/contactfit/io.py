@@ -253,7 +253,7 @@ def load_loss_bundle(path):
         _finite_rows(data, "seg_logits", path, n, 1),
         _finite_rows(data, "features", path, n, 2),
         metric, float(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP)),
-        LossWeights(**{k: float(v) for k, v in data.get("weights", {}).items()}))
+        LossWeights(**data.get("weights", {})))
 
 
 def _finite_rows(data, field, path, n, ndim):
@@ -305,7 +305,7 @@ def load_prediction(path):
                  for lm in _require(data, "landmarks", path, list)]
     return RawPrediction.from_arrays(
         n, np.array([r1, r2], dtype=np.int64).T, probs,
-        np.asarray(_require(data, "segmentation_probs", path, list)),
+        _finite_rows(data, "segmentation_probs", path, n, 1),
         np.asarray(landmarks, dtype=float))
 
 
@@ -316,9 +316,9 @@ def save_filter_config(cfg, path):
 @_decoder("filter config")
 def load_filter_config(path):
     data = _load(path)
-    return FilterConfig(tau_s=float(_require(data, "tau_s", path)),
-                        tau_c=float(_require(data, "tau_c", path)),
-                        tau_dist=float(_require(data, "tau_dist", path)))
+    return FilterConfig(tau_s=_require(data, "tau_s", path),
+                        tau_c=_require(data, "tau_c", path),
+                        tau_dist=_require(data, "tau_dist", path))
 
 
 # -- keypoints ----------------------------------------------------------

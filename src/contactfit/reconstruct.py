@@ -21,7 +21,7 @@ pose the mesh again.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
                    pose_mesh_vjp, scatter_rows)
 from .contact_geometry import (loss_distance, loss_distance_frozen,
                                loss_normal)
-from .errors import GeometryError, OptimizationError, ParameterError
+from .errors import (GeometryError, OptimizationError, ParameterError,
+                     check_settings)
 from .regions import SELECTION_MODES, region_facets
 
 
@@ -46,9 +47,8 @@ class ObjectiveWeights:
     lambda_shape: float = 1.0  # shape part inside the regularizer
 
     def __post_init__(self):
-        vals = (self.lambda_s, self.lambda_psr, self.lambda_col,
-                self.lambda_d, self.lambda_n, self.lambda_pose, self.lambda_shape)
-        if min(vals) < 0:
+        check_settings(self)
+        if min(astuple(self)) < 0:
             raise ParameterError("objective weights must be non-negative")
 
 
@@ -60,6 +60,7 @@ class OptimizerSettings:
     max_backtracks: int = 40
 
     def __post_init__(self):
+        check_settings(self)
         if self.iterations < 0 or self.step_size <= 0 or self.max_backtracks < 1:
             raise ParameterError("invalid optimizer settings")
 

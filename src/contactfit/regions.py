@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GranularityError, ParameterError
+from .spatial import nearest_neighbors
 
 GRANULARITIES = (75, 37, 17, 9)
 
@@ -32,10 +33,6 @@ class RegionMap:
         if len(present) != self.granularity:
             missing = sorted(set(range(self.granularity)) - set(present.tolist()))
             raise ParameterError(f"regions with no facets: {missing[:8]}")
-
-    @property
-    def num_facets(self):
-        return len(self.facet_to_region)
 
     def __eq__(self, other):
         if not isinstance(other, RegionMap):
@@ -103,9 +100,7 @@ def region_facets(region_map, r, mode="all", k=2, centers=None):
         if centers is None:
             raise ParameterError("center mode requires posed facet centers")
         pts = np.asarray(centers)[ids]
-        centroid = pts.mean(axis=0)
-        d2 = ((pts - centroid) ** 2).sum(axis=1)
-        return ids[int(np.argmin(d2)):][:1]
+        return nearest_neighbors(pts.mean(axis=0)[None], pts, ids)[0]
     raise ParameterError(f"unknown selection mode {mode!r}")
 
 

@@ -1,84 +1,22 @@
-"""Small KD-tree over 3D points with deterministic tie-breaking.
+"""The package's one nearest-neighbour scan: brute force over 3D points.
 
-Nearest-neighbour queries return the candidate with the lexicographically
-smallest (squared distance, original id), exactly matching a brute-force
-scan in ascending id order.
+Contact regions hold at most a few hundred facets, so the full table of
+squared distances is small.
 """
 
 import numpy as np
 
 
-class KDTree:
-    def __init__(self, points, ids=None):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-            raise ValueError("points must be a non-empty (n, 3) array")
-        self.points = pts
-        self.ids = np.arange(len(pts)) if ids is None else np.asarray(ids, dtype=int)
-        n = len(pts)
-        self._children = np.full((n, 2), -1, dtype=int)
-        self._axis = np.zeros(n, dtype=int)
-        self._root = self._build(np.arange(n), 0)
-
-    def _build(self, idx, depth):
-        if len(idx) == 0:
-            return -1
-        axis = depth % 3
-        if len(idx) == 1:
-            node = idx[0]
-            self._axis[node] = axis
-            return node
-        mid = len(idx) // 2
-        order = np.argsort(self.points[idx, axis], kind="stable")
-        idx = idx[order]
-        node = idx[mid]
-        self._axis[node] = axis
-        self._children[node, 0] = self._build(idx[:mid], depth + 1)
-        self._children[node, 1] = self._build(idx[mid + 1:], depth + 1)
-        return node
-
-    def query(self, point):
-        """Nearest stored point. Returns (id, squared distance)."""
-        point = np.asarray(point, dtype=float)
-        best = [np.inf, np.iinfo(np.int64).max, -1]  # d2, id, node
-        self._search(self._root, point, best)
-        return best[2], best[0]
-
-    def _search(self, node, point, best):
-        if node < 0:
-            return
-        d2 = float(((point - self.points[node]) ** 2).sum())
-        node_id = int(self.ids[node])
-        if d2 < best[0] or (d2 == best[0] and node_id < best[1]):
-            best[0], best[1], best[2] = d2, node_id, node_id
-        axis = self._axis[node]
-        delta = point[axis] - self.points[node, axis]
-        near, far = (0, 1) if delta < 0 else (1, 0)
-        self._search(self._children[node, near], point, best)
-        # non-strict prune so equal-distance lower ids are still found
-        if delta * delta <= best[0]:
-            self._search(self._children[node, far], point, best)
-
-
-def nearest_neighbors(query_points, data_points, data_ids, method="brute"):
+def nearest_neighbors(query_points, data_points, data_ids):
     """For each query point, the id of the nearest data point and the
-    distance. Ties break to the lowest data id; both methods agree exactly.
+    distance. Ties break to the lowest id of data given in ascending id
+    order. Keep the arithmetic as it is: the |a|² − 2a·b + |b|² expansion or
+    a BLAS product moves last bits, and a fit amplifies them.
     """
     q = np.asarray(query_points, dtype=float)
     d = np.asarray(data_points, dtype=float)
     ids = np.asarray(data_ids, dtype=int)
-    if method == "brute":
-        # data scanned in given (ascending-id) order; argmin keeps the first
-        d2 = ((q[:, None, :] - d[None, :, :]) ** 2).sum(axis=-1)
-        j = np.argmin(d2, axis=1)
-        return ids[j], np.sqrt(d2[np.arange(len(q)), j])
-    if method == "kdtree":
-        tree = KDTree(d, ids)
-        out_ids = np.empty(len(q), dtype=int)
-        out_d = np.empty(len(q))
-        for i, p in enumerate(q):
-            nid, d2 = tree.query(p)
-            out_ids[i] = nid
-            out_d[i] = np.sqrt(d2)
-        return out_ids, out_d
-    raise ValueError(f"unknown method {method!r}")
+    # data scanned in given (ascending-id) order; argmin keeps the first
+    d2 = ((q[:, None, :] - d[None, :, :]) ** 2).sum(axis=-1)
+    j = np.argmin(d2, axis=1)
+    return ids[j], np.sqrt(d2[np.arange(len(q)), j])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactState
-from .errors import GranularityError, ParameterError
+from .errors import GranularityError, ParameterError, check_settings
 
 DEFAULT_SIGMA_SQ_SEP = 0.025
 SIMILARITY_METRICS = ("dot", "neg-sq-euclidean")
@@ -26,6 +26,7 @@ class LossWeights:
     w_c: float = 1.0
 
     def __post_init__(self):
+        check_settings(self)
         if min(self.w_sep, self.w_k, self.w_s, self.w_c) < 0:
             raise ParameterError("loss weights must be non-negative")
 

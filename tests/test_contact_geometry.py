@@ -12,7 +12,7 @@ from contactfit.contact_geometry import (contact_distance_error,
 from contactfit.errors import GeometryError, ParameterError
 from contactfit.regions import RegionMap
 from contactfit.rotations import rodrigues
-from contactfit.spatial import KDTree, nearest_neighbors
+from contactfit.spatial import nearest_neighbors
 
 from conftest import fd_gradient, rel_error
 
@@ -44,6 +44,42 @@ def brute_phi(centers, ids1, ids2):
     value = float(np.sum(np.array(d12))) + float(np.sum(np.array(d21)))
     psi = sorted(set(p12) | {(b, a) for a, b in p21})
     return value, psi
+
+
+def loop_nearest(query, data, data_ids):
+    """(ids, distances) of a loop that scans the data in ascending id order,
+    takes each squared distance as float(((q - p) ** 2).sum()) and keeps
+    only a strictly smaller one."""
+    order = sorted(range(len(data_ids)), key=lambda j: data_ids[j])
+    ids, dists = [], []
+    for q in query:
+        best_d2, best_id = math.inf, None
+        for j in order:
+            d2 = float(((q - data[j]) ** 2).sum())
+            if d2 < best_d2:
+                best_d2, best_id = d2, data_ids[j]
+        ids.append(best_id)
+        dists.append(math.sqrt(best_d2))
+    return np.array(ids, dtype=int), np.array(dists)
+
+
+def assert_scan_matches_loop(centers, ids1, ids2):
+    """nearest_neighbors and phi_distance on two facet sets, given in any
+    order, equal loop_nearest exactly."""
+    s1, s2 = np.sort(ids1), np.sort(ids2)
+    n12, d12 = loop_nearest(centers[s1], centers[s2], s2)
+    n21, d21 = loop_nearest(centers[s2], centers[s1], s1)
+    for (got_ids, got_d), want_ids, want_d in (
+            (nearest_neighbors(centers[s1], centers[s2], s2), n12, d12),
+            (nearest_neighbors(centers[s2], centers[s1], s1), n21, d21)):
+        assert np.array_equal(got_ids, want_ids)
+        assert np.array_equal(got_d, want_d)
+    value, matches = phi_distance(centers, ids1, ids2)
+    directed = ([(int(f1), int(f2)) for f1, f2 in zip(s1, n12)]
+                + [(int(f1), int(f2)) for f2, f1 in zip(s2, n21)])
+    assert matches.directed == directed
+    assert matches.pairs == sorted(set(directed))
+    assert value == float(d12.sum()) + float(d21.sum())
 
 
 class TestPhiDistance:
@@ -90,30 +126,30 @@ class TestPhiDistance:
             phi_distance(np.zeros((3, 3)), [], [0])
 
     def test_kdtree_matches_brute_on_random_configs(self):
+        # the scan equals the loop to the bit: random clouds, the largest
+        # coarse contact pair of the shipped body (172 x 56 facets), exact
+        # ties among shuffled ids, duplicate points and a single data point
         rng = np.random.default_rng(3)
         for trial in range(100):
             n1 = int(rng.integers(1, 40))
             n2 = int(rng.integers(1, 40))
             pts = rng.normal(0, 1, (n1 + n2, 3))
-            ids1 = np.arange(n1)
-            ids2 = np.arange(n1, n1 + n2)
-            vb, mb = phi_distance(pts, ids1, ids2, method="brute")
-            vk, mk = phi_distance(pts, ids1, ids2, method="kdtree")
-            assert vb == vk
-            assert mb.pairs == mk.pairs
-            assert mb.directed == mk.directed
+            assert_scan_matches_loop(pts, np.arange(n1), np.arange(n1, n1 + n2))
+        pts = rng.normal(0, 0.1, (228, 3))
+        assert_scan_matches_loop(pts, np.arange(172), np.arange(172, 228))
+        lattice = rng.integers(-2, 3, (60, 3)).astype(float)
+        shuffled = rng.permutation(60)
+        assert_scan_matches_loop(lattice, shuffled[:25], shuffled[25:])
+        duplicated = np.repeat(rng.normal(0, 1, (10, 3)), 3, axis=0)
+        shuffled = rng.permutation(30)
+        assert_scan_matches_loop(duplicated, shuffled[:12], shuffled[12:])
+        assert_scan_matches_loop(pts[:8], np.arange(7), [7])
 
     def test_kdtree_tie_breaks_to_lowest_id(self):
         # two data points equidistant from the query
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        for method in ("brute", "kdtree"):
-            ids, dists = nearest_neighbors(np.zeros((1, 3)), pts, [5, 9], method)
-            assert ids[0] == 5
-
-    def test_kdtree_single_point(self):
-        tree = KDTree(np.array([[1.0, 2.0, 3.0]]), [7])
-        nid, d2 = tree.query(np.array([1.0, 2.0, 4.0]))
-        assert nid == 7 and np.isclose(d2, 1.0)
+        ids, dists = nearest_neighbors(np.zeros((1, 3)), pts, [5, 9])
+        assert ids[0] == 5
 
 
 class TestLossDistance:

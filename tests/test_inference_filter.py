@@ -257,3 +257,8 @@ class TestRawPredictionArrays:
     def test_from_arrays_rejects_mismatched_columns(self, pairs, probs):
         with pytest.raises(ParameterError):
             RawPrediction.from_arrays(4, pairs, probs, np.zeros(4), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("seg", [[np.nan, 0.5, 0.2], [0.1, 1.5, 0.2]])
+    def test_segmentation_outside_unit_interval_is_rejected(self, seg):
+        with pytest.raises(ParameterError, match=r"segmentation probabilities"):
+            RawPrediction(3, {(0, 1): 0.9}, seg, np.zeros((3, 2)))

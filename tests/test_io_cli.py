@@ -363,6 +363,28 @@ class TestCli:
         assert "run.cfg" in err and f"'{field}'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, field", [
+        ("iterations = 2.5", "iterations"),
+        ("iterations = true", "iterations"),
+        ("armijo_c = nan", "armijo_c"),
+        ("step_size = inf", "step_size"),
+        ("lambda_d = nan", "lambda_d"),
+        ("step_size = 1" + "0" * 400, "step_size")])
+    def test_reconstruct_rejects_a_non_finite_or_lossy_value(self, tmp_path, capsys,
+                                                             line, field):
+        bundle = tmp_path / "bundle"
+        assert cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "7",
+                             "--out", str(bundle)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"iterations = 1\n{line}\n")
+        capsys.readouterr()
+        code = cli_dispatch(_reconstruct_args(bundle, cfg, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: field '{field}': ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_reconstruct_rejects_an_unknown_selection_mode(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "2",
@@ -624,6 +646,23 @@ class TestPredictionArrays:
         assert capsys.readouterr().out == "kept 1 of 3 pairs\n"
 
 
+    def test_load_prediction_rejects_a_nan_segmentation_probability(self, tmp_path):
+        path = _write(tmp_path / "pred.json",
+                      {**_PREDICTION, "segmentation_probs": [float("nan"), 0.5]})
+        with pytest.raises(CodecError) as err:
+            io.load_prediction(path)
+        assert err.value.path == path and err.value.field == "segmentation_probs"
+
+    def test_filter_exits_1_on_a_nan_segmentation_probability(self, tmp_path, capsys):
+        path = _write(tmp_path / "pred.json",
+                      {**_PREDICTION, "segmentation_probs": [0.5, float("nan")]})
+        assert cli_dispatch(["filter", "--pred", str(path),
+                             "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestLossBundleChecks:
     @pytest.mark.parametrize("field, value", [
         ("features", [[1.0], [1.0], [1.0]]),
@@ -641,3 +680,17 @@ class TestLossBundleChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: field '{field}': ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("load, content", [
+    (io.load_filter_config, {**_FILTER, "tau_dist": True}),
+    (io.load_filter_config, {**_FILTER, "tau_dist": float("inf")}),
+    (io.load_filter_config, {**_FILTER, "tau_c": "0.5"}),
+    (io.load_loss_bundle, {**_BUNDLE, "weights": {"w_k": float("nan")}}),
+    (io.load_loss_bundle, {**_BUNDLE, "weights": {"w_sep": True}}),
+])
+def test_settings_files_reject_a_non_finite_or_lossy_value(tmp_path, load, content):
+    path = _write(tmp_path / "settings.json", content)
+    with pytest.raises(CodecError, match="must be a finite number") as err:
+        load(path)
+    assert err.value.path == path

@@ -5,6 +5,7 @@ from contactfit.body import PoseParams, facet_geometry, joint_positions, pose_me
 from contactfit.contact import ContactSignature
 from contactfit import reconstruct
 from contactfit.errors import GeometryError, ParameterError
+from contactfit.inference_filter import FilterConfig
 from contactfit.reconstruct import (CollisionProxySet, ObjectiveWeights,
                                     OptimizerSettings, ReconstructionProblem,
                                     evaluate_breakdown, evaluate_gradient,
@@ -12,6 +13,7 @@ from contactfit.reconstruct import (CollisionProxySet, ObjectiveWeights,
                                     loss_collision, loss_projection,
                                     loss_regularizer, optimize)
 from contactfit.regions import RegionMap
+from contactfit.train_losses import LossWeights
 
 from conftest import (fd_gradient, rel_error, random_model, random_params,
                       simple_camera)
@@ -434,3 +436,36 @@ class TestOptimize:
     def test_invalid_settings_rejected(self):
         with pytest.raises(ParameterError):
             OptimizerSettings(step_size=0.0)
+
+
+_SETTINGS = {"ObjectiveWeights": ObjectiveWeights, "OptimizerSettings": OptimizerSettings,
+             "LossWeights": LossWeights, "FilterConfig": FilterConfig}
+
+
+@pytest.mark.parametrize("cls, field, value, kind", [
+    ("ObjectiveWeights", "lambda_d", np.nan, "number"),
+    ("ObjectiveWeights", "lambda_shape", np.inf, "number"),
+    ("ObjectiveWeights", "lambda_n", True, "number"),
+    ("OptimizerSettings", "iterations", 2.5, "integer"),
+    ("OptimizerSettings", "max_backtracks", True, "integer"),
+    ("OptimizerSettings", "max_backtracks", np.float64(4.5), "integer"),
+    ("OptimizerSettings", "step_size", np.inf, "number"),
+    ("OptimizerSettings", "armijo_c", np.nan, "number"),
+    ("OptimizerSettings", "armijo_c", "1e-4", "number"),
+    ("LossWeights", "w_k", -np.inf, "number"),
+    ("LossWeights", "w_sep", np.nan, "number"),
+    ("FilterConfig", "tau_dist", np.inf, "number"),
+    ("FilterConfig", "tau_dist", np.nan, "number"),
+])
+def test_settings_reject_a_non_finite_or_lossy_value(cls, field, value, kind):
+    with pytest.raises(ParameterError, match=rf"^{field} must be a finite {kind}, got "):
+        _SETTINGS[cls](**{field: value})
+
+
+def test_settings_hold_numbers_of_their_field_types():
+    settings = OptimizerSettings(iterations=np.int64(3), step_size=np.float64(0.5),
+                                 max_backtracks=4.0)
+    assert (settings.iterations, settings.step_size, settings.max_backtracks) == (3, 0.5, 4)
+    assert type(settings.iterations) is int and type(settings.max_backtracks) is int
+    assert type(settings.step_size) is float
+    assert type(ObjectiveWeights(lambda_d=np.int64(2)).lambda_d) is float
