@@ -1,6 +1,6 @@
 """Region-level self-contact signatures and contact-consistent body fitting."""
 
-from .body import (BodyModel, Camera, Facet, FacetGeometry, PoseParams,
+from .body import (BodyModel, Camera, FacetGeometry, PoseParams,
                    facet_geometry, joint_positions, joint_transforms,
                    pose_mesh, pose_mesh_with_jacobian, project)
 from .contact import (ContactSegmentation, ContactSignature, ContactState,
@@ -8,8 +8,7 @@ from .contact import (ContactSegmentation, ContactSignature, ContactState,
                       contact_stats, iou_segmentation, iou_signature,
                       merge_support_clicks, precision_recall,
                       segmentation_from_signature)
-from .contact_geometry import (ContactLossValue, MatchSet, PairMatches,
-                               contact_distance_error, contact_losses,
+from .contact_geometry import (MatchSet, PairMatches, contact_distance_error,
                                loss_distance, loss_distance_frozen,
                                loss_normal, phi_distance, phi_distance_regions)
 from .errors import (CodecError, ContactFitError, GeometryError,

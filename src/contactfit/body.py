@@ -391,27 +391,12 @@ def joint_positions(model, params):
     return model.joint_regressor @ pose_mesh(model, params)
 
 
-@dataclass(frozen=True)
-class Facet:
-    center: np.ndarray
-    normal: np.ndarray
-
-
+@dataclass
 class FacetGeometry:
-    """Per-facet centers and unit normals of a posed mesh.
+    """Per-facet centers and unit normals of a posed mesh, (F, 3) arrays."""
 
-    Indexing returns a single Facet; .centers / .normals are (F, 3) arrays.
-    """
-
-    def __init__(self, centers, normals):
-        self.centers = centers
-        self.normals = normals
-
-    def __len__(self):
-        return len(self.centers)
-
-    def __getitem__(self, i):
-        return Facet(self.centers[i], self.normals[i])
+    centers: np.ndarray
+    normals: np.ndarray
 
 
 def _cross(u, v):
@@ -530,6 +515,9 @@ class Camera:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
+        for name in ("fx", "fy", "cx", "cy", "rotation", "translation"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"camera {name} must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ParameterError("focal lengths must be positive")
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):

@@ -4,8 +4,9 @@ The distance term between two regions is the bidirectional sum of
 nearest-neighbour facet-center distances; the normal term sums dot products
 of matched facet normals (minimized at anti-parallel). Matching is the one
 brute-force scan of `spatial.nearest_neighbors`, with ties to the lowest
-facet id. Matches are frozen by the caller between evaluations to keep
-gradients well-defined.
+facet id. Its id arrays become the matches, (N, 2) arrays of facet ids that
+the losses index with directly. Matches are frozen by the caller between
+evaluations to keep gradients well-defined.
 """
 
 from dataclasses import dataclass, field
@@ -22,16 +23,13 @@ _ZERO_DIST = 1e-12
 
 @dataclass
 class PairMatches:
-    """Matches for one region pair (r1 < r2).
+    """Matches for one region pair (r1 < r2): (N, 2) int arrays of (facet
+    in r1, facet in r2) rows. directed holds every nearest-neighbour term of
+    the distance sum, r1's facets then r2's, each in ascending id (duplicates
+    kept, for gradients); pairs (psi_N) holds its distinct rows, sorted."""
 
-    pairs: psi_N — deduplicated (facet in r1, facet in r2) matches, sorted.
-    directed: every directional nearest-neighbour term of the distance sum
-    (used for gradients; duplicates kept).
-    """
-
-    region_pair: tuple
-    pairs: list
-    directed: list
+    pairs: np.ndarray
+    directed: np.ndarray
 
 
 @dataclass
@@ -40,23 +38,13 @@ class MatchSet:
 
     entries: dict = field(default_factory=dict)  # (r1, r2) -> PairMatches
 
-    def total_matches(self):
-        return sum(len(e.pairs) for e in self.entries.values())
-
-
-@dataclass
-class ContactLossValue:
-    loss_distance: float                  # meters
-    loss_normal: float                    # unitless
-    per_pair_distance: dict               # (r1, r2) -> phi value
-
 
 def phi_distance(centers, ids1, ids2):
     """Bidirectional nearest-neighbour distance between two facet sets.
 
     Sums, for each facet of one set, the distance to its nearest facet
-    center in the other set, in both directions. Returns (value, PairMatches
-    with region_pair unset (None)).
+    center in the other set, in both directions. Returns (value,
+    PairMatches) with the scan's ids as the rows of `directed`.
     """
     ids1 = np.sort(np.asarray(ids1, dtype=int))
     ids2 = np.sort(np.asarray(ids2, dtype=int))
@@ -68,10 +56,11 @@ def phi_distance(centers, ids1, ids2):
     nn21, d21 = nearest_neighbors(centers[ids2], centers[ids1], ids1)
     value = float(d12.sum()) + float(d21.sum())
 
-    directed = [(int(f1), int(f2)) for f1, f2 in zip(ids1, nn12)]
-    directed += [(int(f1), int(f2)) for f2, f1 in zip(ids2, nn21)]
-    pairs = sorted(set(directed))
-    return value, PairMatches(None, pairs, directed)
+    directed = np.stack([np.concatenate([ids1, nn21]),
+                         np.concatenate([nn12, ids2])], axis=1)
+    n = int(directed.max()) + 1  # above every facet id: keys sort as rows do
+    keys = np.unique(directed[:, 0] * n + directed[:, 1])
+    return value, PairMatches(np.stack([keys // n, keys % n], axis=1), directed)
 
 
 def phi_distance_regions(centers, region_map, r1, r2, mode="all", k=2):
@@ -79,35 +68,31 @@ def phi_distance_regions(centers, region_map, r1, r2, mode="all", k=2):
     lo, hi = min(r1, r2), max(r1, r2)
     ids_lo = region_facets(region_map, lo, mode=mode, k=k, centers=centers)
     ids_hi = region_facets(region_map, hi, mode=mode, k=k, centers=centers)
-    value, matches = phi_distance(centers, ids_lo, ids_hi)
-    matches.region_pair = (lo, hi)
-    return value, matches
+    return phi_distance(centers, ids_lo, ids_hi)
 
 
 def loss_distance(centers, sig, region_map, mode="all", k=2):
     """Sum of phi_distance over the signature's contact pairs.
 
-    Masked pairs are excluded. Returns (value, MatchSet, per-pair dict).
+    Masked pairs are excluded. Returns (value, MatchSet).
     """
     if sig.granularity != region_map.granularity:
         raise ParameterError("signature and region map granularities differ")
     matches = MatchSet()
-    per_pair = {}
     total = 0.0
     for r1, r2 in sig.contact_pairs():
         value, pm = phi_distance_regions(centers, region_map, r1, r2, mode=mode, k=k)
         matches.entries[(r1, r2)] = pm
-        per_pair[(r1, r2)] = value
         total += value
-    return total, matches, per_pair
+    return total, matches
 
 
 def _matched(matches, attr):
-    """The (facet, facet) rows of every entry's `attr` list ("pairs" or
-    "directed"), entries in sorted key order, as an (N, 2) int array."""
-    rows = [p for key in sorted(matches.entries)
-            for p in getattr(matches.entries[key], attr)]
-    return np.array(rows, dtype=int).reshape(-1, 2)
+    """Every entry's `attr` rows ("pairs" or "directed"), entries in sorted
+    key order, as one (N, 2) int array."""
+    return np.concatenate([np.empty((0, 2), dtype=int)]
+                          + [np.reshape(getattr(matches.entries[key], attr), (-1, 2))
+                             for key in sorted(matches.entries)])
 
 
 def _row_dots(x, y):
@@ -159,13 +144,6 @@ def loss_normal(normals, matches):
     n1, n2 = normals[f1], normals[f2]
     grad = scatter_rows(_interleaved(n2, n1), _interleaved(f1, f2), len(normals))
     return _sum_in_order(_row_dots(n1, n2)), grad
-
-
-def contact_losses(centers, normals, sig, region_map, mode="all", k=2):
-    """Distance and normal losses with freshly computed matches."""
-    l_d, matches, per_pair = loss_distance(centers, sig, region_map, mode=mode, k=k)
-    l_n, _ = loss_normal(normals, matches) if matches.entries else (0.0, None)
-    return ContactLossValue(l_d, l_n, per_pair), matches
 
 
 def contact_distance_error(centers, sig, region_map):

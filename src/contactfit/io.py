@@ -333,8 +333,13 @@ def load_keypoints(path):
     data = _load(path)
     rows = _require(data, "keypoints", path, list)
     joints = np.array([int(_require(r, "joint", path)) for r in rows], dtype=int)
+    if (joints < 0).any():
+        raise CodecError("negative joint id", path=path, field="joint")
     pts = np.array([[float(_require(r, "x", path)), float(_require(r, "y", path))]
                     for r in rows], dtype=float).reshape(-1, 2)
+    for field, column in zip("xy", pts.T):
+        if not np.isfinite(column).all():
+            raise CodecError("not finite", path=path, field=field)
     return pts, joints
 
 

@@ -193,6 +193,24 @@ def _projection_terms(model, verts, camera, keypoints, joint_ids, want_grad):
     return value / k_vis, grad
 
 
+def _keypoint_arrays(model, keypoints, keypoint_joints):
+    """keypoints (K, 2) and keypoint_joints (K,) as float and int arrays;
+    a check that fails is a ParameterError naming the field."""
+    keypoints = np.asarray(keypoints, dtype=float)
+    joint_ids = np.asarray(keypoint_joints, dtype=int)
+    if keypoints.ndim != 2 or keypoints.shape[1] != 2:
+        raise ParameterError("keypoints must be (K, 2)")
+    if len(joint_ids) != len(keypoints):
+        raise ParameterError("keypoint_joints must hold one joint id per keypoint")
+    if len(keypoints) > model.num_joints:
+        raise ParameterError("more keypoints than joints")
+    if ((joint_ids < 0) | (joint_ids >= model.num_joints)).any():
+        raise ParameterError(f"keypoint_joints must lie in [0, {model.num_joints})")
+    if not np.isfinite(keypoints).all():
+        raise ParameterError("keypoints must be finite")
+    return keypoints, joint_ids
+
+
 def loss_projection(model, params, camera, keypoints, keypoint_joints,
                     with_jacobian=True):
     """Mean squared pixel error of projected joints against 2D targets.
@@ -201,15 +219,7 @@ def loss_projection(model, params, camera, keypoints, keypoint_joints,
     (value, grad over packed params) or just the value when
     with_jacobian=False.
     """
-    keypoints = np.asarray(keypoints, dtype=float)
-    joint_ids = np.asarray(keypoint_joints, dtype=int)
-    if keypoints.ndim != 2 or keypoints.shape[1] != 2:
-        raise ParameterError("keypoints must be (K, 2)")
-    if len(joint_ids) != len(keypoints):
-        raise ParameterError("one joint index per keypoint required")
-    if len(keypoints) > model.num_joints:
-        raise ParameterError("more keypoints than joints")
-
+    keypoints, joint_ids = _keypoint_arrays(model, keypoints, keypoint_joints)
     verts = pose_mesh(model, params)
     value, grad_verts = _projection_terms(model, verts, camera, keypoints,
                                           joint_ids, with_jacobian)
@@ -251,10 +261,8 @@ class ReconstructionProblem:
     _last_posed: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.keypoints = np.asarray(self.keypoints, dtype=float)
-        self.keypoint_joints = np.asarray(self.keypoint_joints, dtype=int)
-        if len(self.keypoints) > self.model.num_joints:
-            raise ParameterError("more keypoints than joints")
+        self.keypoints, self.keypoint_joints = _keypoint_arrays(
+            self.model, self.keypoints, self.keypoint_joints)
         if self.signature.granularity != self.region_map.granularity:
             raise ParameterError("signature and region map granularities differ")
         if self.selection_mode not in SELECTION_MODES:
@@ -309,10 +317,10 @@ def _objective(problem, params, matches=None, want_grad=False):
     l_col, g_col = loss_collision(geom.centers, problem.region_map,
                                   problem.proxies, problem.signature)
     if matches is None:
-        l_d, matches, _ = loss_distance(geom.centers, problem.signature,
-                                        problem.region_map,
-                                        mode=problem.selection_mode,
-                                        k=problem.selection_k)
+        l_d, matches = loss_distance(geom.centers, problem.signature,
+                                     problem.region_map,
+                                     mode=problem.selection_mode,
+                                     k=problem.selection_k)
         g_d = loss_distance_frozen(geom.centers, matches)[1] if want_grad else None
     else:
         l_d, g_d = loss_distance_frozen(geom.centers, matches)

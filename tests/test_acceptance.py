@@ -137,7 +137,7 @@ class TestCriterion1Gradients:
             centers = rng.normal(0, 1, (16, 3))
             rmap = RegionMap(4, np.repeat(np.arange(4), 4))
             sig = ContactSignature.from_sets(4, contact=[(0, 2), (1, 3)])
-            _, matches, _ = loss_distance(centers, sig, rmap)
+            _, matches = loss_distance(centers, sig, rmap)
             _, grad = loss_distance_frozen(centers, matches)
             num = fd_gradient(lambda x: loss_distance_frozen(x, matches)[0],
                               centers, step=1e-6)
@@ -153,7 +153,7 @@ class TestCriterion1Gradients:
             rmap = RegionMap(2, np.array([0, 0, 0, 1, 1, 1]))
             sig = ContactSignature.from_sets(2, contact=[(0, 1)])
             geom = facet_geometry(verts, faces)
-            _, matches, _ = loss_distance(geom.centers, sig, rmap)
+            _, matches = loss_distance(geom.centers, sig, rmap)
             _, g_norm = loss_normal(geom.normals, matches)
             face_ids = np.flatnonzero(np.any(g_norm != 0.0, axis=1))
             blocks = facet_normal_vertex_jacobian(verts, faces, face_ids)

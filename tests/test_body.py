@@ -200,9 +200,9 @@ class TestFacetGeometry:
     def test_facet_indexing(self):
         verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
         geom = facet_geometry(verts, np.array([[0, 1, 2]]))
-        facet = geom[0]
-        assert np.allclose(facet.center, geom.centers[0])
-        assert len(geom) == 1
+        assert geom.centers.shape == geom.normals.shape == (1, 3)
+        assert np.allclose(geom.centers[0], [1 / 3, 1 / 3, 0])
+        assert np.allclose(geom.normals[0], [0, 0, 1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_normal_vertex_jacobian_fd(self, seed):
@@ -275,6 +275,14 @@ class TestCamera:
         with pytest.raises(ParameterError):
             Camera(fx=-1.0, fy=1.0, cx=0, cy=0, rotation=np.eye(3),
                    translation=np.zeros(3))
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "rotation", "translation"])
+    def test_non_finite_rejected(self, field):
+        values = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
+                      translation=np.zeros(3))
+        values[field] = values[field] * np.nan
+        with pytest.raises(ParameterError, match=f"^camera {field} must be finite$"):
+            Camera(**values)
 
 
 class TestModelValidation:

@@ -5,8 +5,7 @@ import pytest
 
 from contactfit.body import facet_geometry
 from contactfit.contact import ContactSignature
-from contactfit.contact_geometry import (contact_distance_error,
-                                         contact_losses, loss_distance,
+from contactfit.contact_geometry import (contact_distance_error, loss_distance,
                                          loss_distance_frozen, loss_normal,
                                          phi_distance, phi_distance_regions)
 from contactfit.errors import GeometryError, ParameterError
@@ -65,7 +64,8 @@ def loop_nearest(query, data, data_ids):
 
 def assert_scan_matches_loop(centers, ids1, ids2):
     """nearest_neighbors and phi_distance on two facet sets, given in any
-    order, equal loop_nearest exactly."""
+    order, equal loop_nearest exactly; the match arrays equal the
+    list-of-tuples build from its ids."""
     s1, s2 = np.sort(ids1), np.sort(ids2)
     n12, d12 = loop_nearest(centers[s1], centers[s2], s2)
     n21, d21 = loop_nearest(centers[s2], centers[s1], s1)
@@ -77,8 +77,11 @@ def assert_scan_matches_loop(centers, ids1, ids2):
     value, matches = phi_distance(centers, ids1, ids2)
     directed = ([(int(f1), int(f2)) for f1, f2 in zip(s1, n12)]
                 + [(int(f1), int(f2)) for f2, f1 in zip(s2, n21)])
-    assert matches.directed == directed
-    assert matches.pairs == sorted(set(directed))
+    assert matches.directed.tolist() == [list(p) for p in directed]
+    assert matches.pairs.tolist() == [list(p) for p in sorted(set(directed))]
+    for rows in (matches.directed, matches.pairs):
+        assert rows.ndim == 2 and rows.shape[1] == 2
+        assert np.issubdtype(rows.dtype, np.integer)
     assert value == float(d12.sum()) + float(d21.sum())
 
 
@@ -92,7 +95,7 @@ class TestPhiDistance:
         centers = np.array([[0.0, 0, 0], [3.0, 4.0, 0]])
         value, matches = phi_distance(centers, [0], [1])
         assert np.isclose(value, 10.0)  # 2 * d, both directions
-        assert matches.pairs == [(0, 1)]
+        assert matches.pairs.tolist() == [[0, 1]]
 
     def test_random_regions_match_bruteforce(self):
         rng = np.random.default_rng(0)
@@ -102,7 +105,7 @@ class TestPhiDistance:
         value, matches = phi_distance(centers, ids1, ids2)
         expected, psi = brute_phi(centers, ids1, ids2)
         assert value == expected
-        assert matches.pairs == psi
+        assert matches.pairs.tolist() == [list(p) for p in psi]
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(1)
@@ -162,34 +165,35 @@ class TestLossDistance:
 
     def test_empty_signature(self, setup):
         centers, rmap = setup
-        value, matches, _ = loss_distance(centers, sig(4), rmap)
+        value, matches = loss_distance(centers, sig(4), rmap)
         assert value == 0.0 and not matches.entries
 
     def test_single_pair_equals_phi(self, setup):
         centers, rmap = setup
-        value, _, per_pair = loss_distance(centers, sig(4, contact=[(0, 2)]), rmap)
+        value, matches = loss_distance(centers, sig(4, contact=[(0, 2)]), rmap)
         phi, _ = phi_distance_regions(centers, rmap, 0, 2)
-        assert value == phi == per_pair[(0, 2)]
+        assert value == phi
+        assert set(matches.entries) == {(0, 2)}
 
     def test_three_pairs_sum(self, setup):
         centers, rmap = setup
         pairs = [(0, 1), (1, 3), (2, 3)]
-        value, _, per_pair = loss_distance(centers, sig(4, contact=pairs), rmap)
+        value, matches = loss_distance(centers, sig(4, contact=pairs), rmap)
         expected = sum(phi_distance_regions(centers, rmap, a, b)[0]
                        for a, b in pairs)
         assert np.isclose(value, expected)
-        assert set(per_pair) == set(pairs)
+        assert set(matches.entries) == set(pairs)
 
     def test_masked_pairs_excluded(self, setup):
         centers, rmap = setup
-        value, _, per_pair = loss_distance(
+        value, matches = loss_distance(
             centers, sig(4, contact=[(0, 1)], masked=[(2, 3)]), rmap)
-        assert set(per_pair) == {(0, 1)}
+        assert set(matches.entries) == {(0, 1)}
 
     def test_frozen_gradient_matches_fd(self, setup):
         centers, rmap = setup
-        _, matches, _ = loss_distance(centers, sig(4, contact=[(0, 2), (1, 3)]),
-                                      rmap)
+        _, matches = loss_distance(centers, sig(4, contact=[(0, 2), (1, 3)]),
+                                   rmap)
         value, grad = loss_distance_frozen(centers, matches)
         num = fd_gradient(lambda x: loss_distance_frozen(x, matches)[0],
                           centers, step=1e-6)
@@ -199,17 +203,17 @@ class TestLossDistance:
 class TestLossNormal:
     def test_antiparallel_normals(self):
         normals = np.array([[0.0, 0, 1], [0.0, 0, -1]])
-        _, matches, _ = loss_distance(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]),
-                                      sig(2, contact=[(0, 1)]),
-                                      RegionMap(2, np.array([0, 1])))
+        _, matches = loss_distance(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]),
+                                   sig(2, contact=[(0, 1)]),
+                                   RegionMap(2, np.array([0, 1])))
         value, _ = loss_normal(normals, matches)
         assert np.isclose(value, -1.0)
 
     def test_identical_normals(self):
         normals = np.array([[0.0, 0, 1], [0.0, 0, 1]])
-        _, matches, _ = loss_distance(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]),
-                                      sig(2, contact=[(0, 1)]),
-                                      RegionMap(2, np.array([0, 1])))
+        _, matches = loss_distance(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]),
+                                   sig(2, contact=[(0, 1)]),
+                                   RegionMap(2, np.array([0, 1])))
         value, _ = loss_normal(normals, matches)
         assert np.isclose(value, 1.0)
 
@@ -219,8 +223,8 @@ class TestLossNormal:
         normals = rng.normal(0, 1, (12, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         rmap = RegionMap(3, np.array([0] * 4 + [1] * 4 + [2] * 4))
-        _, matches, _ = loss_distance(centers, sig(3, contact=[(0, 1), (1, 2)]),
-                                      rmap)
+        _, matches = loss_distance(centers, sig(3, contact=[(0, 1), (1, 2)]),
+                                   rmap)
         value, _ = loss_normal(normals, matches)
         expected = sum(float(normals[f1] @ normals[f2])
                        for key in sorted(matches.entries)
@@ -228,9 +232,9 @@ class TestLossNormal:
         assert np.isclose(value, expected)
 
     def test_non_unit_normal_rejected(self):
-        _, matches, _ = loss_distance(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]),
-                                      sig(2, contact=[(0, 1)]),
-                                      RegionMap(2, np.array([0, 1])))
+        _, matches = loss_distance(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]),
+                                   sig(2, contact=[(0, 1)]),
+                                   RegionMap(2, np.array([0, 1])))
         with pytest.raises(GeometryError):
             loss_normal(np.array([[0.0, 0, 2.0], [0.0, 0, 1.0]]), matches)
 
@@ -240,7 +244,7 @@ class TestLossNormal:
         faces = np.arange(18).reshape(6, 3)
         rmap = RegionMap(2, np.array([0, 0, 0, 1, 1, 1]))
         geom = facet_geometry(verts, faces)
-        _, matches, _ = loss_distance(geom.centers, sig(2, contact=[(0, 1)]), rmap)
+        _, matches = loss_distance(geom.centers, sig(2, contact=[(0, 1)]), rmap)
         v1, _ = loss_normal(geom.normals, matches)
         R = rodrigues(rng.normal(0, 1, 3))
         geom_rot = facet_geometry(verts @ R.T, faces)
@@ -253,9 +257,9 @@ class TestLossNormal:
         normals = rng.normal(0, 1, (10, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         rmap = RegionMap(2, np.array([0] * 5 + [1] * 5))
-        _, matches, _ = loss_distance(centers, sig(2, contact=[(0, 1)]), rmap)
+        _, matches = loss_distance(centers, sig(2, contact=[(0, 1)]), rmap)
         value, _ = loss_normal(normals, matches)
-        count = matches.total_matches()
+        count = len(matches.entries[(0, 1)].pairs)
         assert -count <= value <= count
 
 
@@ -294,16 +298,3 @@ class TestContactDistanceError:
         rmap = RegionMap(2, np.array([0, 1]))
         assert contact_distance_error(centers, sig(2), rmap) is None
 
-
-class TestContactLosses:
-    def test_bundles_both_terms(self):
-        rng = np.random.default_rng(9)
-        verts = rng.normal(0, 1, (18, 3))
-        faces = np.arange(18).reshape(6, 3)
-        rmap = RegionMap(2, np.array([0, 0, 0, 1, 1, 1]))
-        geom = facet_geometry(verts, faces)
-        result, matches = contact_losses(geom.centers, geom.normals,
-                                         sig(2, contact=[(0, 1)]), rmap)
-        assert result.loss_distance > 0
-        assert (0, 1) in result.per_pair_distance
-        assert matches.entries

@@ -249,7 +249,7 @@ class TestContactKernels:
         for _ in range(10):
             geom = facet_geometry(pose_mesh(body.model, _random_pose(rng, body)),
                                   body.model.faces)
-            _, matches, _ = loss_distance(geom.centers, sig, body.region_map)
+            _, matches = loss_distance(geom.centers, sig, body.region_map)
             hand_facets = [{p[key.index(hand)] for p in e.pairs}
                            for key, e in matches.entries.items()]
             assert hand_facets[0] & hand_facets[1]  # matched in both pairs
@@ -266,8 +266,8 @@ class TestContactKernels:
         normals = rng.normal(size=(8, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         matches = MatchSet({
-            (0, 1): PairMatches((0, 1), [(0, 4), (1, 4)], [(0, 4), (1, 4), (0, 4)]),
-            (0, 2): PairMatches((0, 2), [(0, 6), (3, 6)], [(0, 6), (3, 6), (3, 3)]),
+            (0, 1): PairMatches([(0, 4), (1, 4)], [(0, 4), (1, 4), (0, 4)]),
+            (0, 2): PairMatches([(0, 6), (3, 6)], [(0, 6), (3, 6), (3, 3)]),
         })
         assert loss_distance_frozen(centers, matches)[0] == loss_distance_loop(centers, matches)[0]
         assert np.array_equal(loss_distance_frozen(centers, matches)[1],
@@ -286,7 +286,7 @@ class TestContactKernels:
     def test_non_unit_normal_still_rejected(self):
         normals = np.tile([0.0, 0.0, 1.0], (4, 1))
         normals[3] *= 2.0
-        matches = MatchSet({(0, 1): PairMatches((0, 1), [(0, 3)], [(0, 3)])})
+        matches = MatchSet({(0, 1): PairMatches([(0, 3)], [(0, 3)])})
         with pytest.raises(GeometryError, match="facet 3 normal is not unit length"):
             loss_normal(normals, matches)
 

@@ -385,6 +385,29 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("keypoints.json", "joint", -1, "keypoints.json: field 'joint': negative joint id"),
+        ("keypoints.json", "joint", 99, "error: keypoint_joints must lie in [0, 19)\n"),
+        ("keypoints.json", "x", float("nan"), "keypoints.json: field 'x': not finite"),
+        ("camera.json", "fx", float("nan"), "camera.json: invalid camera: camera fx must be finite")])
+    def test_reconstruct_rejects_a_bad_keypoint_or_camera(self, tmp_path, capsys,
+                                                          name, key, value, message):
+        bundle = tmp_path / "bundle"
+        assert cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "7",
+                             "--out", str(bundle)]) == 0
+        data = json.loads((bundle / name).read_text())
+        (data["keypoints"][0] if name == "keypoints.json" else data)[key] = value
+        (bundle / name).write_text(json.dumps(data))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 1\n")
+        capsys.readouterr()
+        code = cli_dispatch(_reconstruct_args(bundle, cfg, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     def test_reconstruct_rejects_an_unknown_selection_mode(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "2",
@@ -573,6 +596,18 @@ class TestCli:
                              "--out", str(table_path)]) == 0
         text = table_path.read_text()
         assert "standing" in text and "overall" in text
+
+
+@pytest.mark.parametrize("row, field", [
+    ({"joint": -1, "x": 1.0, "y": 2.0}, "joint"),
+    ({"joint": 0, "x": float("nan"), "y": 2.0}, "x"),
+    ({"joint": 0, "x": 1.0, "y": float("inf")}, "y")])
+def test_load_keypoints_rejects_a_negative_joint_or_non_finite_point(tmp_path, row, field):
+    path = _write(tmp_path / "kp.json",
+                  {"keypoints": [{"joint": 1, "x": 0.0, "y": 0.0}, row]})
+    with pytest.raises(CodecError, match=rf"kp\.json: field '{field}': ") as err:
+        io.load_keypoints(path)
+    assert err.value.field == field
 
 
 def _reconstruct_args(bundle, cfg, out):

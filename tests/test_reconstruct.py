@@ -295,8 +295,8 @@ class TestOptimize:
         from contactfit.body import facet_geometry as fg
 
         geom0 = fg(pose_mesh(problem.model, params), problem.model.faces)
-        _, matches, _ = loss_distance(geom0.centers, problem.signature,
-                                      problem.region_map)
+        _, matches = loss_distance(geom0.centers, problem.signature,
+                                   problem.region_map)
 
         def frozen_total(x):
             p = PoseParams.from_vector(x, problem.model.num_joints)
@@ -432,6 +432,23 @@ class TestOptimize:
                 keypoint_joints=problem.keypoint_joints,
                 signature=problem.signature, initial_params=problem.initial_params,
                 selection_mode=mode, selection_k=k)
+
+    @pytest.mark.parametrize("joint, rows, shift, message", [
+        (-1, 4, 0.0, r"^keypoint_joints must lie in \[0, 4\)$"),
+        (99, 4, 0.0, r"^keypoint_joints must lie in \[0, 4\)$"),
+        (0, 3, 0.0, r"^keypoint_joints must hold one joint id per keypoint$"),
+        (0, 4, np.nan, r"^keypoints must be finite$")])
+    def test_bad_keypoints_rejected_at_construction(self, joint, rows, shift, message):
+        problem = _toy_problem(np.random.default_rng(21))
+        joints = problem.keypoint_joints.copy()
+        joints[0] = joint
+        keypoints = problem.keypoints[:rows].copy()
+        keypoints[0, 0] += shift
+        with pytest.raises(ParameterError, match=message):
+            ReconstructionProblem(
+                model=problem.model, region_map=problem.region_map,
+                camera=problem.camera, keypoints=keypoints, keypoint_joints=joints,
+                signature=problem.signature, initial_params=problem.initial_params)
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ParameterError):
