@@ -4,9 +4,8 @@ from .body import (BodyModel, Camera, FacetGeometry, PoseParams,
                    facet_geometry, joint_positions, joint_transforms,
                    pose_mesh, pose_mesh_with_jacobian, project)
 from .contact import (ContactSegmentation, ContactSignature, ContactState,
-                      ImageSupport, coarsen_segmentation, coarsen_signature,
-                      contact_stats, iou_segmentation, iou_signature,
-                      merge_support_clicks, precision_recall,
+                      ImageSupport, coarsen_signature, contact_stats,
+                      iou_segmentation, iou_signature,
                       segmentation_from_signature)
 from .contact_geometry import (MatchSet, PairMatches, contact_distance_error,
                                loss_distance, loss_distance_frozen,
@@ -29,9 +28,9 @@ from .regions import (CoarsenMap, RegionMap, coarsen_region_map,
 from .synthetic import (SCENARIO_NAMES, ScenarioBundle, SyntheticBody,
                         build_synthetic_body, default_camera,
                         generate_scenario)
-from .train_losses import (LandmarkSet, LossWeights, bilinear_sample,
-                           loss_landmark, loss_segmentation_ce,
-                           loss_separation, signature_similarity_loss,
-                           softargmax, total_train_loss)
+from .train_losses import (LandmarkSet, LossWeights, loss_landmark,
+                           loss_segmentation_ce, loss_separation,
+                           signature_similarity_loss, softargmax,
+                           total_train_loss)
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
 """Self-contact representations: signature (region pairs), segmentation
 (per region), image support (per-region 2D point), and their algebra.
 
-A signature stores tri-state values on unordered region pairs, so symmetry
-holds by construction; within-region pairs are undefined.
+A signature is a tri-state value per unordered region pair r1 < r2, held as
+an int8 state vector over the row-major upper triangle (`_key`, `_triangle`):
+position order is sorted pair order, and every operation is array code.
 """
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
@@ -20,6 +22,10 @@ class ContactState(IntEnum):
     MASKED = 2
 
 
+# plain ints: numpy converts an IntEnum operand first, several times slower
+_CONTACT, _MASKED = int(ContactState.CONTACT), int(ContactState.MASKED)
+
+
 def _norm_pair(r1, r2, granularity):
     if r1 == r2:
         raise ParameterError(f"pair ({r1}, {r2}) is on the diagonal")
@@ -28,25 +34,67 @@ def _norm_pair(r1, r2, granularity):
     return (r1, r2) if r1 < r2 else (r2, r1)
 
 
+def _key(r1, r2, n):
+    """Position of the pair (r1, r2), r1 < r2, in the row-major upper triangle
+    of n regions, for scalars or arrays. Row r1 starts at r1 (2n - r1 - 1) / 2."""
+    return r1 * (2 * n - 3 - r1) // 2 + r2 - 1
+
+
+@functools.cache
+def _triangle(n):
+    """(r1, r2) arrays of every pair r1 < r2 of n regions, in key order."""
+    r1, r2 = np.triu_indices(n, 1)
+    r1.flags.writeable = r2.flags.writeable = False
+    return r1, r2
+
+
+def _pair_states(sig):
+    """(r1, r2, state) arrays over every pair r1 < r2, in sorted pair order."""
+    return (*_triangle(sig.granularity), sig._states)
+
+
+def _no_contact(granularity):
+    """(n, an all-no-contact state vector) for `granularity` regions."""
+    if granularity < 2:
+        raise ParameterError("signature needs at least 2 regions")
+    n = int(granularity)
+    return n, np.zeros(n * (n - 1) // 2, dtype=np.int8)
+
+
+def _checked_states(granularity, items):
+    """(n, the read-only state vector of the ((r1, r2), state) items). The
+    first invalid item raises: a state that is not a ContactState, a pair on
+    the diagonal or out of range, or a pair given before with another state."""
+    n, vector = _no_contact(granularity)
+    r1, r2 = np.asarray([p for p, _ in items], dtype=np.int64).reshape(-1, 2).T
+    states = np.asarray([s for _, s in items], dtype=object)
+    lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+    ok = ((states == 0) | (states == 1) | (states == 2)) & (r1 != r2) & (lo >= 0) & (hi < n)
+    keys = np.where(ok, _key(lo, hi, n), -1 - np.arange(len(ok)))  # invalid: unique
+    codes = np.where(ok, states, 0).astype(np.int8)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    prev = codes[first][inverse]  # the state each item's pair was first given
+    bad = np.flatnonzero(~ok | (prev != codes))
+    if bad.size:
+        i = bad[0]
+        state = ContactState(states[i])  # raises for a state that is not one
+        key = _norm_pair(int(r1[i]), int(r2[i]), n)  # raises for a bad pair
+        raise ParameterError(f"conflicting states for pair {key}: "
+                             f"{ContactState(prev[i]).name} and {state.name}")
+    vector[keys] = codes
+    vector.flags.writeable = False
+    return n, vector
+
+
 class ContactSignature:
-    """Tri-state contact relation over unordered region pairs."""
+    """Tri-state contact relation over unordered region pairs, as a state
+    vector. `pairs` is a {(r1, r2): state} dict or an iterable of
+    ((r1, r2), state), a pair in either order and repeated only with the same
+    state. With no mutator, the pair lists are built once, on first use."""
 
     def __init__(self, granularity, pairs=None):
-        if granularity < 2:
-            raise ParameterError("signature needs at least 2 regions")
-        self.granularity = int(granularity)
-        states = {}
-        if pairs:
-            items = pairs.items() if isinstance(pairs, dict) else pairs
-            for (r1, r2), state in items:
-                state = ContactState(state)
-                key = _norm_pair(int(r1), int(r2), self.granularity)
-                prev = states.setdefault(key, state)
-                if prev != state:
-                    raise ParameterError(f"conflicting states for pair {key}: "
-                                         f"{prev.name} and {state.name}")
-        self._entries = {k: v for k, v in states.items()
-                         if v != ContactState.NO_CONTACT}
+        items = list(pairs.items() if isinstance(pairs, dict) else pairs) if pairs else []
+        self.granularity, self._states = _checked_states(granularity, items)
 
     @classmethod
     def from_sets(cls, granularity, contact=(), masked=()):
@@ -54,30 +102,48 @@ class ContactSignature:
         pairs += [(p, ContactState.MASKED) for p in masked]
         return cls(granularity, pairs)
 
+    @classmethod
+    def _of_states(cls, n, states):
+        """A signature of n regions holding `states`, taken over unchecked."""
+        sig = cls.__new__(cls)
+        sig.granularity, sig._states = n, states
+        states.flags.writeable = False
+        return sig
+
+    @classmethod
+    def _of_contact_rows(cls, granularity, rows):
+        """The signature in contact on the rows of (M, 2) pairs r1 < r2, unchecked."""
+        n, states = _no_contact(granularity)
+        states[_key(rows[:, 0], rows[:, 1], n)] = _CONTACT
+        return cls._of_states(n, states)
+
+    @functools.cached_property
+    def _pairs(self):
+        """(contact pairs, masked pairs) as sorted lists of int tuples."""
+        k = np.flatnonzero(self._states)  # the contact and masked pairs
+        r1, r2, codes = (a[k] for a in _pair_states(self))
+        return tuple(list(zip(r1[codes == s].tolist(), r2[codes == s].tolist()))
+                     for s in (_CONTACT, _MASKED))
+
     def state(self, r1, r2):
-        key = _norm_pair(r1, r2, self.granularity)
-        return self._entries.get(key, ContactState.NO_CONTACT)
+        lo, hi = _norm_pair(r1, r2, self.granularity)
+        return ContactState(self._states[_key(lo, hi, self.granularity)])
 
     def contact_pairs(self):
-        return sorted(k for k, v in self._entries.items() if v == ContactState.CONTACT)
+        return list(self._pairs[0])
 
     def masked_pairs(self):
-        return sorted(k for k, v in self._entries.items() if v == ContactState.MASKED)
-
-    def all_pairs(self):
-        """Every unordered pair (r1 < r2) at this granularity."""
-        n = self.granularity
-        return [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return list(self._pairs[1])
 
     def __eq__(self, other):
         if not isinstance(other, ContactSignature):
             return NotImplemented
         return (self.granularity == other.granularity
-                and self._entries == other._entries)
+                and np.array_equal(self._states, other._states))
 
     def __repr__(self):
         return (f"ContactSignature(n={self.granularity}, "
-                f"contact={len(self.contact_pairs())}, masked={len(self.masked_pairs())})")
+                f"contact={len(self._pairs[0])}, masked={len(self._pairs[1])})")
 
 
 class ContactSegmentation:
@@ -132,14 +198,10 @@ class ImageSupport:
 def segmentation_from_signature(sig):
     """Region is contact iff it has any contact pair; masked iff it has no
     contact pair but at least one masked pair."""
+    r1, r2, codes = _pair_states(sig)
     states = np.zeros(sig.granularity, dtype=int)
-    for r1, r2 in sig.masked_pairs():
-        for r in (r1, r2):
-            if states[r] == ContactState.NO_CONTACT:
-                states[r] = ContactState.MASKED
-    for r1, r2 in sig.contact_pairs():
-        states[r1] = ContactState.CONTACT
-        states[r2] = ContactState.CONTACT
+    for state in (_MASKED, _CONTACT):  # contact wins
+        states[r1[codes == state]] = states[r2[codes == state]] = state
     return ContactSegmentation(sig.granularity, states)
 
 
@@ -153,65 +215,38 @@ def coarsen_signature(sig, cmap):
     if cmap.fine != sig.granularity:
         raise GranularityError(
             f"signature granularity {sig.granularity} != coarsen fine {cmap.fine}")
-    entries = {}
-    for (r1, r2), state in sig._entries.items():
-        a, b = cmap.mapping[r1], cmap.mapping[r2]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        prev = entries.get(key, ContactState.NO_CONTACT)
-        if state == ContactState.CONTACT or prev == ContactState.CONTACT:
-            entries[key] = ContactState.CONTACT
-        else:
-            entries[key] = ContactState.MASKED
-    return ContactSignature(cmap.coarse, entries)
+    k = np.flatnonzero(sig._states)  # the contact and masked pairs
+    r1, r2, codes = (a[k] for a in _pair_states(sig))
+    a, b = cmap.mapping[r1], cmap.mapping[r2]
+    n, states = _no_contact(cmap.coarse)
+    keys = _key(np.minimum(a, b), np.maximum(a, b), n)
+    for state in (_MASKED, _CONTACT):  # contact wins
+        states[keys[(codes == state) & (a != b)]] = state
+    return ContactSignature._of_states(n, states)
 
 
-def coarsen_segmentation(seg, cmap):
-    """Coarse region is contact iff any fine member is contact; masked iff
-    none is contact but some is masked."""
-    if cmap.fine != seg.granularity:
-        raise GranularityError(
-            f"segmentation granularity {seg.granularity} != coarsen fine {cmap.fine}")
-    states = np.zeros(cmap.coarse, dtype=int)
-    for fine_r in range(cmap.fine):
-        a = cmap.mapping[fine_r]
-        s = seg.states[fine_r]
-        if s == ContactState.CONTACT:
-            states[a] = ContactState.CONTACT
-        elif s == ContactState.MASKED and states[a] == ContactState.NO_CONTACT:
-            states[a] = ContactState.MASKED
-    return ContactSegmentation(cmap.coarse, states)
+def _iou(a, b):
+    """IoU of the contact entries of two state arrays, entries masked in either
+    excluded; 1.0 when neither has any (agreement on "no self-contact").
+
+    The states are bit flags, contact 0b01 and masked 0b10, so a | b is
+    contact where either is contact and neither masked, a & b where both are."""
+    union = int(np.count_nonzero((a | b) == _CONTACT))
+    return int(np.count_nonzero((a & b) == _CONTACT)) / union if union else 1.0
 
 
 def iou_signature(a, b):
-    """Intersection over union of the contact-pair sets.
-
-    Pairs masked in either input are excluded from both sets; two empty
-    sets have IoU 1.0 (perfect agreement on "no self-contact").
-    """
+    """IoU of the contact-pair sets, pairs masked in either input excluded."""
     if a.granularity != b.granularity:
         raise GranularityError(f"granularities differ: {a.granularity} vs {b.granularity}")
-    masked = set(a.masked_pairs()) | set(b.masked_pairs())
-    sa = set(a.contact_pairs()) - masked
-    sb = set(b.contact_pairs()) - masked
-    union = sa | sb
-    if not union:
-        return 1.0
-    return len(sa & sb) / len(union)
+    return _iou(a._states, b._states)
 
 
 def iou_segmentation(a, b):
     """IoU of contact-region sets, excluding regions masked in either input."""
     if a.granularity != b.granularity:
         raise GranularityError(f"granularities differ: {a.granularity} vs {b.granularity}")
-    masked = a.masked_regions() | b.masked_regions()
-    sa = a.contact_regions() - masked
-    sb = b.contact_regions() - masked
-    union = sa | sb
-    if not union:
-        return 1.0
-    return len(sa & sb) / len(union)
+    return _iou(a.states, b.states)
 
 
 @dataclass
@@ -230,45 +265,8 @@ def contact_stats(signatures):
     for s in signatures[1:]:
         if s.granularity != n:
             raise GranularityError("mixed granularities in contact_stats")
-    region_counts = np.zeros(n, dtype=int)
-    pair_counts = Counter()
-    for s in signatures:
-        for r1, r2 in s.contact_pairs():
-            region_counts[r1] += 1
-            region_counts[r2] += 1
-            pair_counts[(r1, r2)] += 1
-    return ContactStats(n, region_counts, pair_counts)
-
-
-def merge_support_clicks(granularity, clicks):
-    """Average multiple annotation clicks per region into one support point.
-
-    clicks: mapping region -> iterable of (x, y) in [0,1]^2.
-    """
-    points = {}
-    for r, pts in clicks.items():
-        pts = np.asarray(list(pts), dtype=float)
-        if pts.size == 0:
-            continue
-        if pts.min() < 0.0 or pts.max() > 1.0:
-            raise ParameterError(f"click outside [0,1]^2 for region {r}")
-        mean = pts.mean(axis=0)
-        points[int(r)] = (float(mean[0]), float(mean[1]))
-    return ImageSupport(granularity, points)
-
-
-def precision_recall(pred, gt):
-    """Generic precision/recall over binary contact entries of two signatures.
-
-    Pairs masked in either signature are excluded. Returns (precision, recall),
-    each None when undefined (no predicted / no ground-truth positives).
-    """
-    if pred.granularity != gt.granularity:
-        raise GranularityError("granularities differ")
-    masked = set(pred.masked_pairs()) | set(gt.masked_pairs())
-    sp = set(pred.contact_pairs()) - masked
-    sg = set(gt.contact_pairs()) - masked
-    tp = len(sp & sg)
-    precision = tp / len(sp) if sp else None
-    recall = tp / len(sg) if sg else None
-    return precision, recall
+    # the key of every contact pair of every signature, repeats kept
+    keys = np.concatenate([np.flatnonzero(s._states == _CONTACT) for s in signatures])
+    r1, r2 = (r[keys] for r in _triangle(n))
+    return ContactStats(n, np.bincount(np.concatenate([r1, r2]), minlength=n),
+                        Counter(zip(r1.tolist(), r2.tolist())))

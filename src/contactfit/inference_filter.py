@@ -120,8 +120,8 @@ def threshold_segmentation(pred, tau_s):
 
 def threshold_signature(pred, tau_c):
     """Signature from pair probabilities alone (no consistency rules)."""
-    contact = pred.pairs[pred.pair_probs >= tau_c]
-    return ContactSignature.from_sets(pred.granularity, contact=contact.tolist())
+    return ContactSignature._of_contact_rows(pred.granularity,
+                                             pred.pairs[pred.pair_probs >= tau_c])
 
 
 def filter_signature(pred, cfg):
@@ -144,8 +144,7 @@ def filter_signature(pred, cfg):
     # takes, so the distance equals norm(lm1 - lm2) to the bit;
     # sqrt(d0*d0 + d1*d1), einsum and norm(axis=1) round differently
     dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    contact = pairs[dist <= cfg.tau_dist]
-    return ContactSignature.from_sets(pred.granularity, contact=contact.tolist())
+    return ContactSignature._of_contact_rows(pred.granularity, pairs[dist <= cfg.tau_dist])
 
 
 def sweep_thresholds(predictions, ground_truths, tau_s_grid, tau_c_grid,

@@ -16,7 +16,7 @@ import numpy as np
 from .body import BodyModel, Camera, PoseParams
 from .contact import (ContactSignature, ContactState, ImageSupport,
                       segmentation_from_signature)
-from .errors import CodecError, ContactFitError
+from .errors import CodecError, ContactFitError, ParameterError, check_number
 from .evaluation import EvalRecord
 from .inference_filter import FilterConfig, RawPrediction
 from .regions import CoarsenMap, RegionMap
@@ -60,12 +60,30 @@ def _decoder(what):
 
 
 def _require(data, field, path, kind=None):
+    """data[field], checked to be a list or dict `kind`, or cast by `_number`
+    to an int or float `kind`."""
     if field not in data:
         raise CodecError("missing", path=path, field=field)
     val = data[field]
-    if kind is not None and not isinstance(val, kind):
+    if kind is None:  # first: a prediction file's rows take it three times a pair
+        return val
+    if kind in (int, float):
+        return _number(val, kind, field, path)
+    if not isinstance(val, kind):
         raise CodecError(f"expected {kind.__name__}", path=path, field=field)
     return val
+
+
+def _number(val, kind, field, path):
+    """val as a `kind` (int or float) by `errors.check_number`, or a
+    CodecError naming the field. A float passes as it is: the field's own
+    check names a non-finite one."""
+    if kind is float and isinstance(val, float):
+        return val
+    try:
+        return check_number(field, val, kind)
+    except ParameterError as e:
+        raise CodecError(str(e), path=path, field=field) from None
 
 
 # -- body model ---------------------------------------------------------
@@ -131,10 +149,10 @@ def save_camera(camera, path):
 @_decoder("camera")
 def load_camera(path):
     data = _load(path)
-    return Camera(fx=float(_require(data, "fx", path)),
-                  fy=float(_require(data, "fy", path)),
-                  cx=float(_require(data, "cx", path)),
-                  cy=float(_require(data, "cy", path)),
+    return Camera(fx=_require(data, "fx", path, float),
+                  fy=_require(data, "fy", path, float),
+                  cx=_require(data, "cx", path, float),
+                  cy=_require(data, "cy", path, float),
                   rotation=np.asarray(_require(data, "rotation", path, list)),
                   translation=np.asarray(_require(data, "translation", path, list)))
 
@@ -149,7 +167,7 @@ def save_region_map(region_map, path):
 @_decoder("region map")
 def load_region_map(path):
     data = _load(path)
-    return RegionMap(int(_require(data, "granularity", path)),
+    return RegionMap(_require(data, "granularity", path, int),
                      np.asarray(_require(data, "facet_to_region", path, list)))
 
 
@@ -161,8 +179,8 @@ def save_coarsen_map(cmap, path):
 @_decoder("coarsen map")
 def load_coarsen_map(path):
     data = _load(path)
-    return CoarsenMap(int(_require(data, "fine", path)),
-                      int(_require(data, "coarse", path)),
+    return CoarsenMap(_require(data, "fine", path, int),
+                      _require(data, "coarse", path, int),
                       np.asarray(_require(data, "map", path, list)))
 
 
@@ -187,7 +205,7 @@ def load_annotation(path):
     regions become masked (unless annotated contact).
     """
     data = _load(path)
-    return _annotation_from(int(_require(data, "granularity", path)), data,
+    return _annotation_from(_require(data, "granularity", path, int), data,
                             data.get("support", []), path)
 
 
@@ -200,7 +218,7 @@ def _annotation_from(n, sigdata, support_rows, path):
         state = _require(row, "state", path)
         if state not in _STATE_VALUES:
             raise CodecError(f"unknown state {state!r}", path=path, field="pairs")
-        r1, r2 = int(_require(row, "r1", path)), int(_require(row, "r2", path))
+        r1, r2 = _require(row, "r1", path, int), _require(row, "r2", path, int)
         pair = (min(r1, r2), max(r1, r2))
         if pair in annotated:
             prev = annotated[pair]
@@ -208,7 +226,7 @@ def _annotation_from(n, sigdata, support_rows, path):
             raise CodecError(f"pair {pair} is {what}", path=path, field="pairs")
         annotated[pair] = state
     for r in sigdata.get("masked_regions", []):
-        r = int(r)
+        r = _number(r, int, "masked_regions", path)
         if not 0 <= r < n:
             raise CodecError(f"region {r} out of range", path=path,
                              field="masked_regions")
@@ -217,8 +235,9 @@ def _annotation_from(n, sigdata, support_rows, path):
                 annotated.setdefault((min(r, other), max(r, other)), "masked")
     sig = ContactSignature(n, [(pair, _STATE_VALUES[state])
                                for pair, state in annotated.items()])
-    support = ImageSupport(n, {int(_require(row, "r", path)):
-                               (_require(row, "x", path), _require(row, "y", path))
+    support = ImageSupport(n, {_require(row, "r", path, int):
+                               (_require(row, "x", path, float),
+                                _require(row, "y", path, float))
                                for row in support_rows})
     seg = segmentation_from_signature(sig)
     for r in support.regions():
@@ -240,7 +259,7 @@ def load_loss_bundle(path):
     """A LossBundle. The signature and support decode as an annotation's
     do; the landmarks are given, or are the soft-argmax of `heatmaps`."""
     data = _load(path)
-    n = int(_require(data, "granularity", path))
+    n = _require(data, "granularity", path, int)
     sig, support = _annotation_from(n, _require(data, "signature", path, dict),
                                      data.get("support", []), path)
     coords = ([softargmax(h)[0] for h in data["heatmaps"]] if "heatmaps" in data
@@ -252,7 +271,8 @@ def load_loss_bundle(path):
         sig, support, LandmarkSet(n, coords),
         _finite_rows(data, "seg_logits", path, n, 1),
         _finite_rows(data, "features", path, n, 2),
-        metric, float(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP)),
+        metric, _number(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP), float,
+                        "sigma_sq_sep", path),
         LossWeights(**data.get("weights", {})))
 
 
@@ -298,7 +318,7 @@ def save_prediction(pred, path):
 @_decoder("prediction")
 def load_prediction(path):
     data = _load(path)
-    n = int(_require(data, "granularity", path))
+    n = _require(data, "granularity", path, int)
     rows = _require(data, "signature_probs", path, list)
     r1, r2, probs = ([_require(row, f, path) for row in rows] for f in ("r1", "r2", "p"))
     landmarks = [[np.nan, np.nan] if lm is None else lm
@@ -332,10 +352,10 @@ def save_keypoints(keypoints, keypoint_joints, path):
 def load_keypoints(path):
     data = _load(path)
     rows = _require(data, "keypoints", path, list)
-    joints = np.array([int(_require(r, "joint", path)) for r in rows], dtype=int)
+    joints = np.array([_require(r, "joint", path, int) for r in rows], dtype=int)
     if (joints < 0).any():
         raise CodecError("negative joint id", path=path, field="joint")
-    pts = np.array([[float(_require(r, "x", path)), float(_require(r, "y", path))]
+    pts = np.array([[_require(r, "x", path, float), _require(r, "y", path, float)]
                     for r in rows], dtype=float).reshape(-1, 2)
     for field, column in zip("xy", pts.T):
         if not np.isfinite(column).all():
@@ -356,10 +376,10 @@ def load_eval_record(path):
     data = _load(path)
     return EvalRecord(str(_require(data, "id", path)),
                       str(_require(data, "class", path)),
-                      float(_require(data, "P", path)),
-                      float(_require(data, "T", path)),
-                      float(_require(data, "V", path)),
-                      None if data.get("C") is None else float(data["C"]))
+                      _require(data, "P", path, float),
+                      _require(data, "T", path, float),
+                      _require(data, "V", path, float),
+                      None if data.get("C") is None else _require(data, "C", path, float))
 
 
 # -- reconstruction config (key = value lines) --------------------------

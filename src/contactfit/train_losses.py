@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactState
+from .contact import ContactState, _pair_states
+from .contact_geometry import _interleaved, _row_dots, _sum_in_order
 from .errors import GranularityError, ParameterError, check_settings
 
 DEFAULT_SIGMA_SQ_SEP = 0.025
@@ -75,32 +76,6 @@ def softargmax(heatmap):
     return (x, y), grad
 
 
-def bilinear_sample(grid, xy):
-    """Bilinear interpolation of a (H, W) or (H, W, C) grid at index-space
-    coordinates (x, y) = (column, row).
-
-    Out-of-bounds queries are clamped to the border and flagged. Returns
-    (value, clamped).
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim not in (2, 3):
-        raise ParameterError("grid must be (H, W) or (H, W, C)")
-    H, W = g.shape[:2]
-    x, y = float(xy[0]), float(xy[1])
-    clamped = not (0.0 <= x <= W - 1 and 0.0 <= y <= H - 1)
-    x = min(max(x, 0.0), W - 1.0)
-    y = min(max(y, 0.0), H - 1.0)
-    x0 = min(int(np.floor(x)), W - 2) if W > 1 else 0
-    y0 = min(int(np.floor(y)), H - 2) if H > 1 else 0
-    x1 = min(x0 + 1, W - 1)
-    y1 = min(y0 + 1, H - 1)
-    fx = x - x0
-    fy = y - y0
-    value = ((1 - fx) * (1 - fy) * g[y0, x0] + fx * (1 - fy) * g[y0, x1]
-             + (1 - fx) * fy * g[y1, x0] + fx * fy * g[y1, x1])
-    return value, clamped
-
-
 def loss_landmark(pred, gt_support):
     """Mean squared distance between predicted landmarks and ground-truth
     image support, over supported regions only.
@@ -125,27 +100,23 @@ def loss_landmark(pred, gt_support):
 def loss_separation(pred, sig, sigma_sq=DEFAULT_SIGMA_SQ_SEP):
     """Sum of exp(-d^2 / (2 sigma^2)) over region pairs not in contact.
 
-    Pairs whose signature state is contact or masked are excluded. Returns
-    (value, grad (N_R, 2)).
+    Pairs whose signature state is contact or masked are excluded. Terms and
+    gradient rows are added in sorted pair order, so both equal a loop over
+    the pairs to the bit. Returns (value, grad (N_R, 2)).
     """
     if sigma_sq <= 0:
         raise ParameterError("sigma_sq must be positive")
     if pred.granularity != sig.granularity:
         raise GranularityError("landmark/signature granularities differ")
-    value = 0.0
+    r1, r2, states = _pair_states(sig)
+    free = states == ContactState.NO_CONTACT
+    r1, r2 = r1[free], r2[free]
+    diff = pred.coords[r1] - pred.coords[r2]
+    term = np.exp(-_row_dots(diff, diff) / (2.0 * sigma_sq))
+    g = term[:, None] * (-diff / sigma_sq)
     grad = np.zeros_like(pred.coords)
-    n = pred.granularity
-    for r1 in range(n):
-        for r2 in range(r1 + 1, n):
-            if sig.state(r1, r2) != ContactState.NO_CONTACT:
-                continue
-            diff = pred.coords[r1] - pred.coords[r2]
-            term = np.exp(-float(diff @ diff) / (2.0 * sigma_sq))
-            value += term
-            g = term * (-diff / sigma_sq)
-            grad[r1] += g
-            grad[r2] -= g
-    return value, grad
+    np.add.at(grad, _interleaved(r1, r2), _interleaved(g, -g))
+    return _sum_in_order(term), grad
 
 
 def _softplus(x):
@@ -197,7 +168,9 @@ def signature_similarity_loss(features, gt_sig, metric="dot", pos_weight=None):
 
     metric="dot" scores a pair by the dot product of its feature rows (the
     F F^T entry); metric="neg-sq-euclidean" by the negated squared distance.
-    Masked pairs are excluded. Returns (value, grad over features (N_R, d)).
+    Masked pairs are excluded. Terms and gradient rows are added in sorted
+    pair order, so both equal a loop over the pairs to the bit. Returns
+    (value, grad over features (N_R, d)).
     """
     F = np.asarray(features, dtype=float)
     if F.ndim != 2 or F.shape[0] != gt_sig.granularity:
@@ -206,29 +179,25 @@ def signature_similarity_loss(features, gt_sig, metric="dot", pos_weight=None):
         raise ParameterError("features must be finite")
     if metric not in SIMILARITY_METRICS:
         raise ParameterError(f"unknown similarity metric {metric!r}")
-    n = gt_sig.granularity
-    pairs = [(r1, r2) for r1 in range(n) for r2 in range(r1 + 1, n)
-             if gt_sig.state(r1, r2) != ContactState.MASKED]
-    num_pos = sum(1 for p in pairs if gt_sig.state(*p) == ContactState.CONTACT)
+    r1, r2, states = _pair_states(gt_sig)
+    kept = states != ContactState.MASKED
+    r1, r2, y = r1[kept], r2[kept], (states[kept] == ContactState.CONTACT).astype(float)
+    num_pos = int(np.count_nonzero(y))
     if pos_weight is None:
-        pos_weight = positive_class_weight(num_pos, len(pairs) - num_pos)
-    value = 0.0
+        pos_weight = positive_class_weight(num_pos, len(y) - num_pos)
+    if metric == "dot":
+        s = _row_dots(F[r1], F[r2])
+        ds_d1, ds_d2 = F[r2], F[r1]
+    else:
+        diff = F[r1] - F[r2]
+        s = -_row_dots(diff, diff)
+        ds_d1, ds_d2 = -2.0 * diff, 2.0 * diff
+    w = np.where(y == 1.0, pos_weight, 1.0)
+    dv_ds = (w * (_sigmoid(s) - y))[:, None]
     grad = np.zeros_like(F)
-    for r1, r2 in pairs:
-        if metric == "dot":
-            s = float(F[r1] @ F[r2])
-            ds_d1, ds_d2 = F[r2], F[r1]
-        else:
-            diff = F[r1] - F[r2]
-            s = -float(diff @ diff)
-            ds_d1, ds_d2 = -2.0 * diff, 2.0 * diff
-        y = 1.0 if gt_sig.state(r1, r2) == ContactState.CONTACT else 0.0
-        w = pos_weight if y == 1.0 else 1.0
-        value += w * (_softplus(s) - y * s)   # = w * CE(sigmoid(s), y)
-        dv_ds = w * (_sigmoid(s) - y)
-        grad[r1] += dv_ds * ds_d1
-        grad[r2] += dv_ds * ds_d2
-    return float(value), grad
+    np.add.at(grad, _interleaved(r1, r2), _interleaved(dv_ds * ds_d1, dv_ds * ds_d2))
+    # w * CE(sigmoid(s), y), added in pair order
+    return _sum_in_order(w * (_softplus(s) - y * s)), grad
 
 
 def total_train_loss(l_sep, l_k, l_s, l_c, weights=LossWeights()):

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactfit.contact import (ContactSegmentation, ContactSignature,
-                                ContactState, ImageSupport,
-                                coarsen_segmentation, coarsen_signature,
+                                ContactState, ImageSupport, coarsen_signature,
                                 contact_stats, iou_segmentation,
-                                iou_signature, merge_support_clicks,
-                                precision_recall, segmentation_from_signature)
+                                iou_signature, segmentation_from_signature)
 from contactfit.errors import GranularityError, ParameterError
 from contactfit.regions import CoarsenMap
 
@@ -154,7 +152,8 @@ class TestCoarsenSignature:
     def test_derive_then_coarsen_agrees_on_contact(self, s):
         cmap = CoarsenMap(9, 3, np.arange(9) % 3)
         a = segmentation_from_signature(coarsen_signature(s, cmap))
-        b = coarsen_segmentation(segmentation_from_signature(s), cmap)
+        # derive, then coarsen the contact regions through the map
+        b = set(cmap.mapping[segmentation_from_signature(s).states == C])
         # agreement on the contact class (masked may differ when the only
         # witnesses collapse onto the diagonal)
         for r in range(3):
@@ -164,7 +163,7 @@ class TestCoarsenSignature:
                 if cmap.mapping[f1] == r or cmap.mapping[f2] == r)
             assert (a.states[r] == C) == pre_contact
             if a.states[r] == C:
-                assert b.states[r] == C
+                assert r in b
 
 
 class TestIoU:
@@ -258,40 +257,7 @@ class TestStats:
 
 
 class TestSupport:
-    def test_single_click(self):
-        support = merge_support_clicks(9, {3: [(0.2, 0.4)]})
-        assert support.points[3] == (0.2, 0.4)
-
-    def test_two_clicks_average(self):
-        support = merge_support_clicks(9, {3: [(0.0, 0.0), (1.0, 1.0)]})
-        assert support.points[3] == (0.5, 0.5)
-
-    def test_k_random_clicks_match_mean(self):
-        rng = np.random.default_rng(29)
-        clicks = rng.random((7, 2))
-        support = merge_support_clicks(9, {0: clicks})
-        assert np.allclose(support.points[0], clicks.mean(axis=0))
-
-    def test_out_of_range_click(self):
-        with pytest.raises(ParameterError):
-            merge_support_clicks(9, {0: [(1.5, 0.0)]})
-
     def test_support_validates_range(self):
         with pytest.raises(ParameterError):
             ImageSupport(5, {1: (0.5, -0.1)})
 
-
-class TestPrecisionRecall:
-    def test_perfect(self):
-        a = sig(6, contact=[(0, 1), (2, 3)])
-        assert precision_recall(a, a) == (1.0, 1.0)
-
-    def test_half_precision(self):
-        pred = sig(6, contact=[(0, 1), (2, 3)])
-        gt = sig(6, contact=[(0, 1)])
-        p, r = precision_recall(pred, gt)
-        assert p == 0.5 and r == 1.0
-
-    def test_undefined_when_empty(self):
-        p, r = precision_recall(sig(6), sig(6))
-        assert p is None and r is None

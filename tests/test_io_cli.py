@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -408,6 +409,31 @@ class TestCli:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, edit, field", [
+        ("annotation.json", lambda d: d["pairs"][0].update(r1=2.9), "r1"),
+        ("annotation.json", lambda d: d["pairs"][0].update(r2=True), "r2"),
+        ("annotation.json", lambda d: d.update(masked_regions=[1.5]), "masked_regions"),
+        ("annotation.json", lambda d: d.update(granularity="75"), "granularity"),
+        ("camera.json", lambda d: d.update(fx=True), "fx"),
+        ("camera.json", lambda d: d.update(fy="500"), "fy"),
+        ("keypoints.json", lambda d: d["keypoints"][0].update(joint=1.7), "joint"),
+        ("keypoints.json", lambda d: d["keypoints"][0].update(x="3"), "x")])
+    def test_reconstruct_rejects_a_lossy_or_mistyped_number(self, hand_chin_bundle, tmp_path,
+                                                            capsys, name, edit, field):
+        bundle = shutil.copytree(hand_chin_bundle, tmp_path / "bundle")
+        data = json.loads((bundle / name).read_text())
+        edit(data)
+        (bundle / name).write_text(json.dumps(data))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 1\n")
+        capsys.readouterr()
+        code = cli_dispatch(_reconstruct_args(bundle, cfg, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bundle / name}: field '{field}': ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_reconstruct_rejects_an_unknown_selection_mode(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "2",
@@ -608,6 +634,14 @@ def test_load_keypoints_rejects_a_negative_joint_or_non_finite_point(tmp_path, r
     with pytest.raises(CodecError, match=rf"kp\.json: field '{field}': ") as err:
         io.load_keypoints(path)
     assert err.value.field == field
+
+
+@pytest.fixture(scope="module")
+def hand_chin_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("synth") / "bundle"
+    assert cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "7",
+                         "--out", str(bundle)]) == 0
+    return bundle
 
 
 def _reconstruct_args(bundle, cfg, out):

@@ -5,8 +5,8 @@ from contactfit.contact import (ContactSegmentation, ContactSignature,
                                 ContactState, ImageSupport)
 from contactfit.errors import ParameterError
 from contactfit.train_losses import (LandmarkSet, LossWeights,
-                                     bilinear_sample, loss_landmark,
-                                     loss_segmentation_ce, loss_separation,
+                                     loss_landmark, loss_segmentation_ce,
+                                     loss_separation,
                                      signature_similarity_loss, softargmax,
                                      total_train_loss)
 
@@ -66,44 +66,6 @@ class TestSoftargmax:
     def test_invalid_heatmap(self):
         with pytest.raises(ParameterError):
             softargmax(np.array([[np.inf, 0.0]]))
-
-
-class TestBilinearSample:
-    def test_exact_at_node(self):
-        rng = np.random.default_rng(2)
-        g = rng.normal(0, 1, (4, 6))
-        value, clamped = bilinear_sample(g, (3.0, 2.0))
-        assert value == g[2, 3] and not clamped
-
-    def test_midpoint_of_four_nodes(self):
-        g = np.array([[1.0, 3.0], [5.0, 7.0]])
-        value, _ = bilinear_sample(g, (0.5, 0.5))
-        assert np.isclose(value, 4.0)
-
-    def test_random_points_match_closed_form(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(0, 1, (5, 5))
-        for _ in range(30):
-            x, y = rng.uniform(0, 4, 2)
-            value, clamped = bilinear_sample(g, (x, y))
-            x0, y0 = int(np.floor(x)), int(np.floor(y))
-            x0, y0 = min(x0, 3), min(y0, 3)
-            fx, fy = x - x0, y - y0
-            expected = (g[y0, x0] * (1 - fx) * (1 - fy)
-                        + g[y0, x0 + 1] * fx * (1 - fy)
-                        + g[y0 + 1, x0] * (1 - fx) * fy
-                        + g[y0 + 1, x0 + 1] * fx * fy)
-            assert np.isclose(value, expected) and not clamped
-
-    def test_out_of_bounds_clamped_and_flagged(self):
-        g = np.array([[1.0, 2.0], [3.0, 4.0]])
-        value, clamped = bilinear_sample(g, (-1.0, 0.0))
-        assert clamped and value == 1.0
-
-    def test_multichannel(self):
-        g = np.stack([np.ones((3, 3)), 2 * np.ones((3, 3))], axis=-1)
-        value, _ = bilinear_sample(g, (1.3, 0.7))
-        assert np.allclose(value, [1.0, 2.0])
 
 
 class TestLandmarkLoss:
