@@ -24,7 +24,7 @@ from .reconstruct import (CollisionProxySet, LossBreakdown, ObjectiveWeights,
                           loss_collision, loss_projection, loss_regularizer,
                           optimize)
 from .regions import (CoarsenMap, RegionMap, coarsen_region_map,
-                      region_center, region_facets)
+                      region_facets)
 from .synthetic import (SCENARIO_NAMES, ScenarioBundle, SyntheticBody,
                         build_synthetic_body, default_camera,
                         generate_scenario)

@@ -13,6 +13,7 @@ from .rotations import rodrigues_batch, rodrigues_jacobian, rodrigues_jacobian_b
 
 _WEIGHT_TOL = 1e-6
 _DEGENERATE_AREA = 1e-12
+_ROTATION_TOL = 1e-6  # max |R R^T - I| entry of a camera rotation
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ class BodyModel:
                           ("joint_offsets", offsets), ("skinning_weights", w),
                           ("joint_regressor", reg)):
             object.__setattr__(self, name, val)
+            if not np.isfinite(val).all():
+                raise ParameterError(f"{name} must be finite")
         object.__setattr__(self, "joint_parents", parents)
 
         if v.ndim != 2 or v.shape[1] != 3:
@@ -522,6 +525,9 @@ class Camera:
             raise ParameterError("focal lengths must be positive")
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ParameterError("camera extrinsics must be (3,3) rotation and 3-vector")
+        if (np.abs(self.rotation @ self.rotation.T - np.eye(3)).max() > _ROTATION_TOL
+                or np.linalg.det(self.rotation) <= 0.0):
+            raise ParameterError("camera rotation must be orthonormal with determinant +1")
 
     def transform(self, points):
         """World points (N, 3) or (3,) to camera coordinates."""

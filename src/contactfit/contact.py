@@ -153,7 +153,7 @@ class ContactSegmentation:
         states = np.asarray(states, dtype=int)
         if states.shape != (granularity,):
             raise ParameterError("segmentation length must equal granularity")
-        if not np.isin(states, [0, 1, 2]).all():
+        if not ((states >= 0) & (states <= 2)).all():
             raise ParameterError("segmentation states must be tri-state")
         self.granularity = int(granularity)
         self.states = states

@@ -1,4 +1,4 @@
-"""File codecs: JSON for structured data, OBJ for meshes, CSV for tables.
+"""File codecs: JSON for structured data, OBJ mesh output, CSV tables.
 
 Every encode/decode pair round-trips exactly (floats survive via repr), and
 encoding is deterministic (sorted keys) so identical inputs produce
@@ -108,18 +108,40 @@ def save_body_model(model, path):
 @_decoder("body model")
 def load_body_model(path):
     data = _load(path)
-    verts = np.asarray(_require(data, "vertices", path, list), dtype=float)
-    faces = np.asarray(_require(data, "faces", path, list), dtype=int)
+    verts = _number_rows(_require(data, "vertices", path, list), float, "vertices", path)
+    faces = _number_rows(_require(data, "faces", path, list), int, "faces", path)
     joints = _require(data, "joints", path, list)
-    parents = np.array([_require(j, "parent", path) for j in joints], dtype=int)
-    offsets = np.array([_require(j, "offset", path) for j in joints], dtype=float)
-    weights = np.zeros((len(verts), len(joints)))
-    for v, j, w in _require(data, "weights", path, list):
-        weights[int(v), int(j)] = float(w)
-    regressor = np.zeros((len(joints), len(verts)))
-    for j, v, w in _require(data, "regressor", path, list):
-        regressor[int(j), int(v)] = float(w)
+    parents = np.array([_require(j, "parent", path, int) for j in joints], dtype=int)
+    if ((parents < -1) | (parents >= len(joints))).any():
+        raise CodecError("parent id out of range", path=path, field="parent")
+    offsets = _number_rows([_require(j, "offset", path) for j in joints], float,
+                           "offset", path)
+    weights = _sparse(data, "weights", path, (len(verts), len(joints)))
+    regressor = _sparse(data, "regressor", path, (len(joints), len(verts)))
     return BodyModel(verts, faces, parents, offsets, weights, regressor)
+
+
+def _number_rows(rows, kind, field, path):
+    """rows (a list of lists) as a `kind` array, each entry read by `_number`."""
+    return np.array([[_number(x, kind, field, path) for x in row] for row in rows],
+                    dtype=kind)
+
+
+def _sparse(data, field, path, shape):
+    """The matrix of shape `shape` of the [row, column, value] rows of
+    data[field]; each (row, column) in range and given at most once."""
+    out = np.zeros(shape)
+    given = np.zeros(shape, dtype=bool)
+    for i, j, value in _require(data, field, path, list):
+        i, j = _number(i, int, field, path), _number(j, int, field, path)
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+            raise CodecError(f"entry ({i}, {j}) out of range for shape {shape}",
+                             path=path, field=field)
+        if given[i, j]:
+            raise CodecError(f"entry ({i}, {j}) given twice", path=path, field=field)
+        given[i, j] = True
+        out[i, j] = _number(value, float, field, path)
+    return out
 
 
 # -- pose parameters ----------------------------------------------------
@@ -435,27 +457,6 @@ def save_obj(verts, faces, path):
             f.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
         for a, b, c in np.asarray(faces, dtype=int):
             f.write(f"f {a + 1} {b + 1} {c + 1}\n")
-
-
-@_decoder("OBJ mesh")
-def load_obj(path):
-    verts = []
-    faces = []
-    with open(path) as f:
-        lines = f.readlines()
-    for lineno, line in enumerate(lines, 1):
-        parts = line.split()
-        if not parts or parts[0] not in ("v", "f"):
-            continue
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise CodecError(f"line {lineno}: short vertex", path=path)
-            verts.append([float(x) for x in parts[1:4]])
-        else:
-            if len(parts) != 4:
-                raise CodecError(f"line {lineno}: only triangles supported", path=path)
-            faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int)
 
 
 # -- CSV tables ----------------------------------------------------------

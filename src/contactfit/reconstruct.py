@@ -27,7 +27,7 @@ import numpy as np
 
 from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
                    pose_mesh_vjp, scatter_rows)
-from .contact_geometry import (loss_distance, loss_distance_frozen,
+from .contact_geometry import (_row_dots, loss_distance, loss_distance_frozen,
                                loss_normal)
 from .errors import (GeometryError, OptimizationError, ParameterError,
                      check_settings)
@@ -120,16 +120,15 @@ def fit_collision_proxies(centers, region_map, min_radius=5e-3):
     n = region_map.granularity
     centroids = np.empty((n, 3))
     radii = np.empty(n)
-    for r in range(n):
+    for r in range(n):  # one region at a time: `mean` adds pairwise
         pts = np.asarray(centers)[region_facets(region_map, r)]
         centroids[r] = pts.mean(axis=0)
         radii[r] = max(float(np.linalg.norm(pts - centroids[r], axis=1).max()),
                        min_radius)
-    excluded = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(centroids[a] - centroids[b]) < radii[a] + radii[b]:
-                excluded.add((a, b))
+    lo, hi = np.triu_indices(n, 1)
+    diff = centroids[lo] - centroids[hi]
+    near = np.sqrt(_row_dots(diff, diff)) < radii[lo] + radii[hi]
+    excluded = set(zip(lo[near].tolist(), hi[near].tolist()))
     return CollisionProxySet(radii, np.zeros((n, 3)), excluded)
 
 

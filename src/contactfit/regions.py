@@ -104,12 +104,6 @@ def region_facets(region_map, r, mode="all", k=2, centers=None):
     raise ParameterError(f"unknown selection mode {mode!r}")
 
 
-def region_center(region_map, centers, r):
-    """Mean of the member facet centers of region r."""
-    ids = region_facets(region_map, r)
-    return np.asarray(centers)[ids].mean(axis=0)
-
-
 def coarsen_region_map(region_map, cmap):
     """Relabel facets through a fine->coarse surjection."""
     if cmap.fine != region_map.granularity:

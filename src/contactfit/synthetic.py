@@ -2,9 +2,12 @@
 
 The body is a low-poly humanoid (torso tube, head sphere, limb tubes, box
 hands/feet, 19 joints, ~1.2k facets) built entirely from constants, so every
-desk-scale experiment is reproducible without external assets. The default
-75-region partition follows anatomical parts; coarser granularities
-(37/17/9) are groupings of the fine regions.
+desk-scale experiment is reproducible without external assets. Each
+primitive emits its vertices as arrays and its faces as vertex-id grids,
+two triangles per cell, and fans for the tube caps and sphere poles; one
+array pass then winds every face outward. The default 75-region partition
+follows anatomical parts; coarser granularities (37/17/9) are groupings of
+the fine regions.
 
 Scenarios pose the body into a self-contact configuration (two-bone IK plus
 a small fixed-point refinement on the actual facet gap), derive the ground
@@ -12,6 +15,7 @@ truth annotation and camera, and perturb the pose into an optimization
 start point.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +23,7 @@ import numpy as np
 from .body import (BodyModel, Camera, PoseParams, facet_geometry,
                    joint_positions, joint_transforms, pose_mesh, project)
 from .contact import ContactSignature, ImageSupport
+from .contact_geometry import _interleaved, _row_dots
 from .errors import ParameterError
 from .regions import CoarsenMap, RegionMap
 from .rotations import axis_angle_from_matrix, rodrigues, rotation_between
@@ -91,31 +96,34 @@ _PART_TABLE = [
 IMAGE_SIZE = 368  # scenario camera image side, pixels
 
 
-class _MeshBuilder:
-    def __init__(self):
-        self.verts = []
-        self.faces = []
-        self.weights = []      # per vertex: {joint: w}
-        self.part_faces = {}   # part -> list of face ids
+# A primitive's mesh: its vertices, their (n, J) skinning weights, its faces
+# as local vertex ids, one part label per face, and per face a point inside
+# the primitive that sets the face's outward winding
+_Piece = namedtuple("_Piece", ["verts", "weights", "faces", "parts", "inside"])
 
-    def add_vertices(self, pts, weight_fn):
-        base = len(self.verts)
-        for p in pts:
-            self.verts.append(np.asarray(p, dtype=float))
-            self.weights.append(weight_fn(np.asarray(p, dtype=float)))
-        return base
 
-    def add_face(self, a, b, c, part, interior_ref):
-        # enforce outward winding against an interior reference point
-        pa, pb, pc = self.verts[a], self.verts[b], self.verts[c]
-        centroid = (pa + pb + pc) / 3.0
-        normal = np.cross(pb - pa, pc - pa)
-        if float(normal @ (centroid - interior_ref)) < 0.0:
-            b, c = c, b
-        fid = len(self.faces)
-        self.faces.append((a, b, c))
-        self.part_faces.setdefault(part, []).append(fid)
-        return fid
+def _piece(verts, faces, inside, part_fn, weight_fn):
+    return _Piece(verts, weight_fn(verts), faces,
+                  part_fn(facet_geometry(verts, faces).centers),
+                  np.broadcast_to(inside, faces.shape))
+
+
+def _grid_faces(grid):
+    """Two faces per cell of a vertex-id grid, cells row-major: (a, b, c)
+    then (b, e, c), where a, b are the cell's corners on its row and c, e
+    the corners below them."""
+    a, b, c, e = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    return np.stack([a, b, c, b, e, c], axis=-1).reshape(-1, 3)
+
+
+def _closed(grid):
+    """The grid with its first column repeated last, so each row wraps."""
+    return np.hstack([grid, grid[:, :1]])
+
+
+def _fan_faces(center, ring):
+    """(center, ring[i], ring[i + 1]) for each i, the ring wrapping."""
+    return np.stack([np.full(len(ring), center), ring, np.roll(ring, -1)], axis=1)
 
 
 def _frame(direction):
@@ -128,107 +136,86 @@ def _frame(direction):
     return d, u, w
 
 
-def _add_tube(mb, p0, p1, radius_u, radius_w, segments, rings, part_fn,
-              weight_fn, cap0=False, cap1=False):
+def _tube(p0, p1, radius_u, radius_w, segments, rings, part_fn, weight_fn,
+          caps=False):
+    """Elliptic tube of rings + 1 vertex rings from p0 to p1; caps closes
+    each end with a fan around a vertex at p0, then one at p1."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     d, u, w = _frame(p1 - p0)
     length = np.linalg.norm(p1 - p0)
     thetas = 2.0 * np.pi * np.arange(segments) / segments
-    ring_pts = []
-    for r in range(rings + 1):
-        t = r / rings
-        c = p0 + t * (p1 - p0)
-        ring_pts.append([c + radius_u * np.cos(th) * u + radius_w * np.sin(th) * w
-                         for th in thetas])
-    flat = [p for ring in ring_pts for p in ring]
-    base = mb.add_vertices(flat, weight_fn)
-
-    def axis_ref(centroid):
-        t = float((centroid - p0) @ d)
-        t = min(max(t, 1e-4), length - 1e-4)
-        return p0 + t * d
-
-    for r in range(rings):
-        for i in range(segments):
-            a = base + r * segments + i
-            b = base + r * segments + (i + 1) % segments
-            c = base + (r + 1) * segments + i
-            e = base + (r + 1) * segments + (i + 1) % segments
-            for tri in ((a, b, c), (b, e, c)):
-                centroid = (mb.verts[tri[0]] + mb.verts[tri[1]] + mb.verts[tri[2]]) / 3.0
-                mb.add_face(*tri, part_fn(centroid), axis_ref(centroid))
-    for cap, ring, point in ((cap0, 0, p0), (cap1, rings, p1)):
-        if not cap:
-            continue
-        center = mb.add_vertices([point], weight_fn)
-        inside = point + (d if ring == 0 else -d) * 1e-3
-        for i in range(segments):
-            a = base + ring * segments + i
-            b = base + ring * segments + (i + 1) % segments
-            centroid = (mb.verts[a] + mb.verts[b] + point) / 3.0
-            mb.add_face(center, a, b, part_fn(centroid), inside)
+    t = (np.arange(rings + 1) / rings)[:, None, None]
+    verts = (p0 + t * (p1 - p0) + (radius_u * np.cos(thetas))[:, None] * u
+             + (radius_w * np.sin(thetas))[:, None] * w).reshape(-1, 3)
+    grid = np.arange(len(verts)).reshape(rings + 1, segments)
+    faces = _grid_faces(_closed(grid))
+    # a wall face's interior point: the nearest axis point, off the ends
+    along = np.clip((facet_geometry(verts, faces).centers - p0) @ d,
+                    1e-4, length - 1e-4)
+    inside = p0 + along[:, None] * d
+    if caps:
+        faces = np.vstack([faces, _fan_faces(len(verts), grid[0]),
+                           _fan_faces(len(verts) + 1, grid[-1])])
+        inside = np.vstack([inside, np.repeat([p0 + d * 1e-3, p1 - d * 1e-3],
+                                              segments, axis=0)])
+        verts = np.vstack([verts, p0, p1])
+    return _piece(verts, faces, inside, part_fn, weight_fn)
 
 
-def _add_sphere(mb, center, radius, n_lon, n_lat, part_fn, weight_fn):
+def _sphere(center, radius, n_lon, n_lat, part_fn, weight_fn):
+    """UV sphere: n_lat - 1 rings of n_lon vertices, then the top and bottom
+    poles; the pole fans come first, top and bottom interleaved."""
     center = np.asarray(center, dtype=float)
-    pts = []
-    for j in range(1, n_lat):
-        phi = np.pi * j / n_lat
-        for i in range(n_lon):
-            th = 2.0 * np.pi * i / n_lon
-            pts.append(center + radius * np.array([np.sin(phi) * np.cos(th),
-                                                   np.cos(phi),
-                                                   np.sin(phi) * np.sin(th)]))
-    base = mb.add_vertices(pts, weight_fn)
-    top = mb.add_vertices([center + radius * np.array([0.0, 1.0, 0.0])], weight_fn)
-    bot = mb.add_vertices([center + radius * np.array([0.0, -1.0, 0.0])], weight_fn)
-
-    def tri(a, b, c):
-        centroid = (mb.verts[a] + mb.verts[b] + mb.verts[c]) / 3.0
-        mb.add_face(a, b, c, part_fn(centroid), center)
-
-    for i in range(n_lon):
-        tri(top, base + i, base + (i + 1) % n_lon)
-        last = base + (n_lat - 2) * n_lon
-        tri(bot, last + i, last + (i + 1) % n_lon)
-    for j in range(n_lat - 2):
-        for i in range(n_lon):
-            a = base + j * n_lon + i
-            b = base + j * n_lon + (i + 1) % n_lon
-            c = a + n_lon
-            e = b + n_lon
-            tri(a, b, c)
-            tri(b, e, c)
+    phi = (np.pi * np.arange(1, n_lat) / n_lat)[:, None]
+    th = 2.0 * np.pi * np.arange(n_lon) / n_lon
+    rings = np.stack(np.broadcast_arrays(np.sin(phi) * np.cos(th), np.cos(phi),
+                                         np.sin(phi) * np.sin(th)), axis=-1)
+    verts = center + radius * np.vstack([rings.reshape(-1, 3),
+                                         [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]])
+    grid = np.arange(len(verts) - 2).reshape(n_lat - 1, n_lon)
+    poles = _interleaved(_fan_faces(grid.size, grid[0]),
+                         _fan_faces(grid.size + 1, grid[-1]))
+    faces = np.vstack([poles, _grid_faces(_closed(grid))])
+    return _piece(verts, faces, center, part_fn, weight_fn)
 
 
-def _add_box(mb, center, half, subdiv, part_fn, weight_fn):
+def _box(center, half, subdiv, part_fn, weight_fn):
+    """Box of six sides, in axis order and - before +, each a grid over the
+    other two axes with subdiv cells along each."""
     center = np.asarray(center, dtype=float)
     half = np.asarray(half, dtype=float)
-    nx, ny, nz = subdiv
-    counts = {0: (ny, nz), 1: (nx, nz), 2: (nx, ny)}
+    verts, faces = [], []
     for axis in range(3):
+        a1, a2 = [i for i in range(3) if i != axis]
+        s1 = (-1.0 + 2.0 * np.arange(subdiv[a1] + 1) / subdiv[a1]) * half[a1]
+        s2 = (-1.0 + 2.0 * np.arange(subdiv[a2] + 1) / subdiv[a2]) * half[a2]
         for sign in (-1.0, 1.0):
-            a1, a2 = [i for i in range(3) if i != axis]
-            n1, n2 = counts[axis]
-            pts = []
-            for i in range(n1 + 1):
-                for j in range(n2 + 1):
-                    p = center.copy()
-                    p[axis] += sign * half[axis]
-                    p[a1] += (-1.0 + 2.0 * i / n1) * half[a1]
-                    p[a2] += (-1.0 + 2.0 * j / n2) * half[a2]
-                    pts.append(p)
-            base = mb.add_vertices(pts, weight_fn)
-            for i in range(n1):
-                for j in range(n2):
-                    a = base + i * (n2 + 1) + j
-                    b = a + 1
-                    c = a + (n2 + 1)
-                    e = c + 1
-                    for t in ((a, b, c), (b, e, c)):
-                        centroid = (mb.verts[t[0]] + mb.verts[t[1]] + mb.verts[t[2]]) / 3.0
-                        mb.add_face(*t, part_fn(centroid), center)
+            side = np.empty((len(s1), len(s2), 3))
+            side[..., axis] = center[axis] + sign * half[axis]
+            side[..., a1] = center[a1] + s1[:, None]
+            side[..., a2] = center[a2] + s2
+            ids = np.arange(len(s1) * len(s2)).reshape(len(s1), len(s2))
+            faces.append(_grid_faces(ids + sum(map(len, verts))))
+            verts.append(side.reshape(-1, 3))
+    return _piece(np.vstack(verts), np.vstack(faces), center, part_fn, weight_fn)
+
+
+def _wind_outward(verts, faces, inside):
+    """Swap b and c of each face (a, b, c) whose normal points toward its
+    interior point, in place."""
+    geom = facet_geometry(verts, faces)
+    inward = _row_dots(geom.normals, geom.centers - inside) < 0.0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+
+
+def _one_hot(joints):
+    """(n, J) skinning weights, each row all on its joint."""
+    return np.eye(len(JOINT_NAMES))[joints]
+
+
+def _whole(part):
+    return lambda centroids: np.full(len(centroids), part)
 
 
 @dataclass
@@ -242,15 +229,10 @@ class SyntheticBody:
 
 
 def _near_equal_split(items, n):
+    """n runs of items, the first len(items) % n of them one longer."""
     if len(items) < n:
         raise ParameterError(f"cannot split {len(items)} items into {n} chunks")
-    sizes = [len(items) // n + (1 if i < len(items) % n else 0) for i in range(n)]
-    out = []
-    at = 0
-    for s in sizes:
-        out.append(items[at:at + s])
-        at += s
-    return out
+    return np.array_split(items, n)
 
 
 def _slice_part(face_ids, centroids, specs):
@@ -289,74 +271,68 @@ def build_synthetic_body():
     """Construct the default humanoid with its region hierarchy."""
     J = JOINT_INDEX
     pos = {k: np.asarray(v, dtype=float) for k, v in _JOINT_POSITIONS.items()}
-    mb = _MeshBuilder()
 
     def rigid(joint):
-        return lambda p: {J[joint]: 1.0}
+        return lambda p: _one_hot(np.full(len(p), J[joint]))
 
-    def limb_weights(joint, next_joint, p0, p1, blend_from=0.85):
-        p0 = np.asarray(p0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
+    def limb_weights(joint, next_joint, p0, p1):
+        # the far 15% of a limb is skinned half to the next joint
         axis = p1 - p0
-        L2 = float(axis @ axis)
 
         def fn(p):
-            t = float((p - p0) @ axis) / L2
-            if next_joint is not None and t > blend_from:
-                return {J[joint]: 0.5, J[next_joint]: 0.5}
-            return {J[joint]: 1.0}
+            w = _one_hot(np.full(len(p), J[joint]))
+            blend = ((p - p0) @ axis) / float(axis @ axis) > 0.85
+            w[blend, J[joint]] = w[blend, J[next_joint]] = 0.5
+            return w
         return fn
 
-    # torso: one elliptic tube, parts assigned by height band and front/back
+    # torso: one elliptic tube, parts assigned by height band and front/back,
+    # weights by height band
     def torso_part(c):
-        band = "pelvis" if c[1] < 0.08 else ("abdomen" if c[1] < 0.28 else "chest")
-        return f"{band}_{'front' if c[2] > 0 else 'back'}"
+        names = np.array([["pelvis_back", "pelvis_front"], ["abdomen_back", "abdomen_front"],
+                          ["chest_back", "chest_front"]])
+        return names[np.digitize(c[:, 1], [0.08, 0.28]), (c[:, 2] > 0).astype(int)]
 
     def torso_weights(p):
-        if p[1] < 0.08:
-            return {J["pelvis"]: 1.0}
-        if p[1] < 0.28:
-            return {J["spine"]: 1.0}
-        return {J["chest"]: 1.0}
+        band = np.digitize(p[:, 1], [0.08, 0.28])
+        return _one_hot(np.array([J["pelvis"], J["spine"], J["chest"]])[band])
 
-    _add_tube(mb, (0, -0.12, 0), (0, 0.47, 0), 0.16, 0.10, 12, 6,
-              torso_part, torso_weights, cap0=True, cap1=True)
-    _add_sphere(mb, (0, 0.68, 0), 0.11, 10, 8, lambda c: "head", rigid("head"))
-    _add_tube(mb, (0, 0.50, 0), (0, 0.62, 0), 0.045, 0.045, 8, 2,
-              lambda c: "neck", rigid("neck"))
+    pieces = [_tube((0, -0.12, 0), (0, 0.47, 0), 0.16, 0.10, 12, 6,
+                    torso_part, torso_weights, caps=True),
+              _sphere((0, 0.68, 0), 0.11, 10, 8, _whole("head"), rigid("head")),
+              _tube((0, 0.50, 0), (0, 0.62, 0), 0.045, 0.045, 8, 2,
+                    _whole("neck"), rigid("neck"))]
 
     for side in ("l", "r"):
         sh, el, wr = pos[f"{side}_shoulder"], pos[f"{side}_elbow"], pos[f"{side}_wrist"]
         out_dir = np.array([1.0 if side == "l" else -1.0, 0.0, 0.0])
         arm_axis = (el - sh) / np.linalg.norm(el - sh)
 
-        def arm_part(c, sh=sh, axis=arm_axis, side=side):
-            t = float((c - sh) @ axis) / 0.30
-            return f"{side}_shoulder" if t < 0.2 else f"{side}_upper_arm"
-
-        _add_tube(mb, sh, el, 0.05, 0.05, 8, 5, arm_part,
-                  limb_weights(f"{side}_shoulder", f"{side}_elbow", sh, el))
-        _add_tube(mb, el, wr, 0.042, 0.042, 8, 4, lambda c, s=side: f"{s}_forearm",
-                  limb_weights(f"{side}_elbow", f"{side}_wrist", el, wr))
-        hand_center = wr + out_dir * 0.08
-        _add_box(mb, hand_center, (0.08, 0.018, 0.04), (4, 1, 2),
-                 lambda c, s=side: f"{s}_hand", rigid(f"{side}_wrist"))
+        def arm_part(c):
+            return np.where(((c - sh) @ arm_axis) / 0.30 < 0.2,
+                            f"{side}_shoulder", f"{side}_upper_arm")
 
         hp, kn, an = pos[f"{side}_hip"], pos[f"{side}_knee"], pos[f"{side}_ankle"]
-        _add_tube(mb, hp, kn, 0.075, 0.075, 10, 5, lambda c, s=side: f"{s}_thigh",
-                  limb_weights(f"{side}_hip", f"{side}_knee", hp, kn))
-        _add_tube(mb, kn, an, 0.055, 0.055, 8, 4, lambda c, s=side: f"{s}_shin",
-                  limb_weights(f"{side}_knee", f"{side}_ankle", kn, an))
-        foot_center = an + np.array([0.0, -0.03, 0.07])
-        _add_box(mb, foot_center, (0.045, 0.03, 0.11), (2, 1, 3),
-                 lambda c, s=side: f"{s}_foot", rigid(f"{side}_ankle"))
+        pieces += [
+            _tube(sh, el, 0.05, 0.05, 8, 5, arm_part,
+                  limb_weights(f"{side}_shoulder", f"{side}_elbow", sh, el)),
+            _tube(el, wr, 0.042, 0.042, 8, 4, _whole(f"{side}_forearm"),
+                  limb_weights(f"{side}_elbow", f"{side}_wrist", el, wr)),
+            _box(wr + out_dir * 0.08, (0.08, 0.018, 0.04), (4, 1, 2),
+                 _whole(f"{side}_hand"), rigid(f"{side}_wrist")),
+            _tube(hp, kn, 0.075, 0.075, 10, 5, _whole(f"{side}_thigh"),
+                  limb_weights(f"{side}_hip", f"{side}_knee", hp, kn)),
+            _tube(kn, an, 0.055, 0.055, 8, 4, _whole(f"{side}_shin"),
+                  limb_weights(f"{side}_knee", f"{side}_ankle", kn, an)),
+            _box(an + np.array([0.0, -0.03, 0.07]), (0.045, 0.03, 0.11), (2, 1, 3),
+                 _whole(f"{side}_foot"), rigid(f"{side}_ankle"))]
 
-    template = np.array(mb.verts)
-    faces = np.array(mb.faces, dtype=int)
-    weights = np.zeros((len(template), len(JOINT_NAMES)))
-    for i, wmap in enumerate(mb.weights):
-        for j, w in wmap.items():
-            weights[i, j] = w
+    starts = np.cumsum([0] + [len(p.verts) for p in pieces])
+    template = np.vstack([p.verts for p in pieces])
+    faces = np.vstack([p.faces + start for p, start in zip(pieces, starts)])
+    weights = np.vstack([p.weights for p in pieces])
+    parts = np.concatenate([p.parts for p in pieces])
+    _wind_outward(template, faces, np.vstack([p.inside for p in pieces]))
 
     offsets = np.zeros((len(JOINT_NAMES), 3))
     for name, i in J.items():
@@ -395,37 +371,27 @@ def build_synthetic_body():
     fine_to_37 = []
     part_of_37 = []
     next_fine = 0
-    next_37 = 0
     for part, n75, n37, g17, g9 in _PART_TABLE:
-        chunks = _slice_part(mb.part_faces[part], centroids, slice_specs[part])
+        chunks = _slice_part(np.flatnonzero(parts == part), centroids,
+                              slice_specs[part])
         if len(chunks) != n75:
             raise ParameterError(f"part {part}: expected {n75} chunks, got {len(chunks)}")
         ids = list(range(next_fine, next_fine + n75))
         part_regions[part] = ids
         for rid, chunk in zip(ids, chunks):
             facet_to_region[chunk] = rid
-        groups = _near_equal_split(ids, n37)
-        for g in groups:
-            for rid in g:
-                fine_to_37.append(next_37)
+        for group in _near_equal_split(ids, n37):
+            fine_to_37 += [len(part_of_37)] * len(group)
             part_of_37.append(part)
-            next_37 += 1
         next_fine += n75
     region_map = RegionMap(75, facet_to_region)
 
-    g17_names = []
-    g9_names = []
-    map_37_17 = []
+    # the 17 and 9 groups, numbered in order of first appearance
     g17_of_part = {p: g17 for p, _, _, g17, _ in _PART_TABLE}
-    g9_of_g17 = {}
-    for part, _, _, g17, g9 in _PART_TABLE:
-        if g17 not in g17_names:
-            g17_names.append(g17)
-        g9_of_g17[g17] = g9
-        if g9 not in g9_names:
-            g9_names.append(g9)
-    for part in part_of_37:
-        map_37_17.append(g17_names.index(g17_of_part[part]))
+    g9_of_g17 = {g17: g9 for _, _, _, g17, g9 in _PART_TABLE}
+    g17_names = list(dict.fromkeys(g17_of_part.values()))
+    g9_names = list(dict.fromkeys(g9_of_g17.values()))
+    map_37_17 = [g17_names.index(g17_of_part[part]) for part in part_of_37]
     map_17_9 = [g9_names.index(g9_of_g17[g]) for g in g17_names]
 
     cmaps = {

@@ -285,7 +285,28 @@ class TestCamera:
             Camera(**values)
 
 
+    @pytest.mark.parametrize("rotation", [2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                                          np.eye(3) + 1e-5])
+    def test_rotation_must_be_proper(self, rotation):
+        with pytest.raises(ParameterError, match="camera rotation must be orthonormal"):
+            Camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=rotation,
+                   translation=np.zeros(3))
+
+
 class TestModelValidation:
+    @pytest.mark.parametrize("field", ["template_vertices", "joint_offsets",
+                                       "skinning_weights", "joint_regressor"])
+    def test_non_finite_rejected(self, field):
+        values = dict(template_vertices=np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]),
+                      faces=np.array([[0, 1, 2]]), joint_parents=np.array([-1]),
+                      joint_offsets=np.zeros((1, 3)), skinning_weights=np.ones((3, 1)),
+                      joint_regressor=np.ones((1, 3)) / 3)
+        BodyModel(**values)
+        values[field] = values[field].copy()
+        values[field][0, 0] = np.nan if field != "joint_regressor" else np.inf
+        with pytest.raises(ParameterError, match=f"^{field} must be finite$"):
+            BodyModel(**values)
+
     def test_cycle_detection(self):
         verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
         with pytest.raises(ParameterError):

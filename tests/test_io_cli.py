@@ -122,7 +122,7 @@ class TestRoundTrips:
         verts = pose_mesh(body.model, PoseParams.identity(body.model.num_joints))
         path = tmp_path / "mesh.obj"
         io.save_obj(verts, body.model.faces, path)
-        v2, f2 = io.load_obj(path)
+        v2, f2 = _read_obj(path)
         assert np.array_equal(v2, verts)
         assert np.array_equal(f2, body.model.faces)
 
@@ -206,6 +206,13 @@ class TestCodecErrors:
             io.load_annotation(path)
 
 
+def _read_obj(path):
+    """(vertices, faces) of an OBJ file that `io.save_obj` wrote."""
+    rows = [line.split() for line in path.read_text().splitlines()]
+    return (np.array([[float(x) for x in r[1:]] for r in rows if r[0] == "v"]),
+            np.array([[int(i) - 1 for i in r[1:]] for r in rows if r[0] == "f"]))
+
+
 _BODY = {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": [[0, 1, 2]],
          "joints": [{"parent": -1, "offset": [0, 0, 0]}],
          "weights": [[0, 0, 1.0], [1, 0, 1.0], [2, 0, 1.0]], "regressor": [[0, 0, 1.0]]}
@@ -223,7 +230,6 @@ _BUNDLE = {"granularity": 2, "landmarks": [[0.2, 0.2], [0.2, 0.2]],
            "signature": {"pairs": [{"r1": 0, "r2": 1, "state": "contact"}]},
            "support": [{"r": 0, "x": 0.2, "y": 0.2}]}
 _MANIFEST = [{"prediction": "p.json", "ground_truth": "g.json"}]
-_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 
 # every io.load_*: a valid file, then that file with a bad cast, with a row
 # of the wrong kind (not an object where one is expected), and with a row
@@ -281,10 +287,6 @@ _MALFORMED = {
         "bad cast": b"iterations = 5\n\xff\xfe\n",
         "non-object row": "= 5\n",
         "wrong arity": "iterations 5\n"}),
-    "load_obj": (_OBJ, {
-        "bad cast": _OBJ.replace("v 0 1 0", "v 0 1 a"),
-        "non-object row": _OBJ.replace("f 1 2 3", "f 1 2 a"),
-        "wrong arity": _OBJ.replace("v 0 1 0", "v 0 1")}),
 }
 _LOADERS = sorted(name for name in dir(io) if name.startswith("load_"))
 
@@ -344,6 +346,38 @@ class TestCli:
                              "--out", str(tmp_path / "out.obj")])
         assert code == 1
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["weights"].__setitem__(2, [-1, 0, 1.0]), "weights"),
+        (lambda d: d["weights"].__setitem__(0, [0.7, 0, 1.0]), "weights"),
+        (lambda d: d["weights"].append([2, 0, 1.0]), "weights"),
+        (lambda d: d["regressor"].append([0, 0, 1.0]), "regressor"),
+        (lambda d: d["joints"][1].update(parent=0.6), "parent"),
+        (lambda d: d["weights"].__setitem__(0, [0, 0, "1"]), "weights"),
+        (lambda d: d.update(faces=[[0, 1.4, 2]]), "faces"),
+        (lambda d: d.update(vertices=[["0", 0, 0], [1, 0, 0], [0, 1, 0]]), "vertices"),
+        (lambda d: d["weights"].__setitem__(0, [0, 0, float("nan")]), "skinning_weights"),
+        (lambda d: d["vertices"].__setitem__(0, [float("nan"), 0, 0]), "template_vertices"),
+        (lambda d: d["joints"][1].update(offset=[float("nan"), 0, 0]), "joint_offsets"),
+        (lambda d: d["regressor"].__setitem__(0, [0, 0, float("inf")]), "joint_regressor")])
+    def test_export_obj_rejects_an_ambiguous_or_non_finite_body(self, tmp_path, capsys,
+                                                               edit, field):
+        body = {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": [[0, 1, 2]],
+                "joints": [{"parent": -1, "offset": [0, 0, 0]},
+                           {"parent": 0, "offset": [1, 0, 0]}],
+                "weights": [[0, 0, 1.0], [1, 1, 1.0], [2, 0, 1.0]],
+                "regressor": [[0, 0, 1.0], [1, 1, 1.0]]}
+        path = tmp_path / "body.json"
+        args = ["export-obj", "--body", str(path), "--out", str(tmp_path / "out.obj")]
+        path.write_text(json.dumps(body))
+        assert cli_dispatch(args) == 0
+        edit(body)
+        path.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert cli_dispatch(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert field in err
 
     @pytest.mark.parametrize("line, field", [
         ("lamda_d = 2.0", "lamda_d"),
@@ -598,8 +632,8 @@ class TestCli:
         assert cli_dispatch(["export-obj", "--body", str(bundle / "body.json"),
                              "--params", str(bundle / "gt_params.json"),
                              "--out", str(out)]) == 0
-        verts, faces = io.load_obj(out)
-        gt = io.load_obj(bundle / "gt_mesh.obj")
+        verts, faces = _read_obj(out)
+        gt = _read_obj(bundle / "gt_mesh.obj")
         assert np.array_equal(verts, gt[0])
 
     def test_eval_and_metrics_commands(self, tmp_path):

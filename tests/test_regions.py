@@ -3,7 +3,7 @@ import pytest
 
 from contactfit.errors import GranularityError, ParameterError
 from contactfit.regions import (CoarsenMap, RegionMap, coarsen_region_map,
-                                region_center, region_facets)
+                                region_facets)
 
 
 @pytest.fixture
@@ -52,22 +52,6 @@ class TestRegionFacets:
         cen = set(region_facets(small_map, 1, mode="center", centers=centers).tolist())
         assert sub <= full
         assert cen <= full and len(cen) == 1
-
-
-class TestRegionCenter:
-    def test_single_facet_region(self, small_map, centers):
-        assert np.allclose(region_center(small_map, centers, 2), centers[8])
-
-    def test_two_facets_mean(self):
-        rmap = RegionMap(2, np.array([0, 0, 1]))
-        centers = np.array([[0.0, 0, 0], [2.0, 4, 6], [9.0, 9, 9]])
-        assert np.allclose(region_center(rmap, centers, 0), [1.0, 2.0, 3.0])
-
-    def test_random_matches_bruteforce(self, small_map, centers):
-        for r in range(3):
-            ids = np.flatnonzero(small_map.facet_to_region == r)
-            expected = sum(centers[i] for i in ids) / len(ids)
-            assert np.allclose(region_center(small_map, centers, r), expected)
 
 
 class TestCoarsenRegionMap:
