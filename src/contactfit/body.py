@@ -116,11 +116,6 @@ class BodyModel:
         return len(self.faces)
 
     @property
-    def rest_joint_positions(self):
-        """(J, 3) joint centers of the unscaled template."""
-        return self._rest_joints.copy()
-
-    @property
     def num_params(self):
         """Length of the packed parameter vector: 3 per joint + translation + shape."""
         return 3 * self.num_joints + 6

@@ -129,10 +129,10 @@ def loss_distance_frozen(centers, matches):
     return _sum_in_order(d), grad
 
 
-def loss_normal(normals, matches):
-    """Sum of dot products of matched facet normals, plus its gradient
-    w.r.t. the normals. Minimized when matched normals are anti-parallel.
-    Terms are added in match order, as a loop over the pairs adds them.
+def loss_normal(normals, matches, with_jacobian=True):
+    """Sum of dot products of matched facet normals, and its gradient w.r.t.
+    the normals unless with_jacobian=False. Minimized at anti-parallel
+    normals. Terms are added in match order, as a loop over pairs adds them.
     """
     normals = np.asarray(normals, dtype=float)
     f1, f2 = _matched(matches, "pairs").T
@@ -142,8 +142,10 @@ def loss_normal(normals, matches):
     if bad.size:
         raise GeometryError(f"facet {int(bad[0])} normal is not unit length")
     n1, n2 = normals[f1], normals[f2]
-    grad = scatter_rows(_interleaved(n2, n1), _interleaved(f1, f2), len(normals))
-    return _sum_in_order(_row_dots(n1, n2)), grad
+    value = _sum_in_order(_row_dots(n1, n2))
+    if not with_jacobian:
+        return value
+    return value, scatter_rows(_interleaved(n2, n1), _interleaved(f1, f2), len(normals))
 
 
 def contact_distance_error(centers, sig, region_map):

@@ -6,11 +6,12 @@ Descent is plain gradient descent with Armijo backtracking; the
 nearest-neighbour matches of the contact terms are recomputed at the start
 of every evaluation and frozen inside each gradient (ICP-style).
 
-One private function evaluates the objective for the optimizer, its
-breakdown and the finite-difference oracle. Its gradient is reverse mode:
-every term's gradient w.r.t. the posed vertices is summed and pulled back
-once through LBS, forward kinematics and the Rodrigues Jacobians
-(body.pose_mesh_vjp). The dense vertex Jacobian (pose_mesh_with_jacobian)
+Two private functions evaluate the objective: `_match` matches the facets
+of each contact pair afresh and gives their distance, `_frozen` the other
+terms for given matches. The line search evaluates values only. The
+gradient is reverse mode: every term's gradient w.r.t. the posed vertices
+is summed and pulled back once through LBS, forward kinematics and the
+Rodrigues Jacobians (body.pose_mesh_vjp). The dense vertex Jacobian (pose_mesh_with_jacobian)
 and the per-face normal Jacobians are only test oracles.
 
 The kernels of one evaluation are array code that adds its terms in the
@@ -132,11 +133,12 @@ def fit_collision_proxies(centers, region_map, min_radius=5e-3):
     return CollisionProxySet(radii, np.zeros((n, 3)), excluded)
 
 
-def loss_collision(centers, region_map, proxies, sig=None):
+def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
     """Sphere-penetration penalty over non-excluded region pairs.
 
     Pairs marked contact in the signature are skipped (they are supposed to
-    touch). Returns (value, grad w.r.t. facet centers (F, 3)).
+    touch). Returns (value, grad w.r.t. facet centers (F, 3)) or, when
+    with_jacobian=False, the value alone.
 
     Only the candidate pairs are measured, and each region sums its
     partners' gradient terms in partner order, so the result is the dense
@@ -157,7 +159,8 @@ def loss_collision(centers, region_map, proxies, sig=None):
     active = (pen > 0.0) & (d > 1e-12)
     lo, hi, pen, d, diff = lo[active], hi[active], pen[active], d[active], diff[active]
     value = float((pen ** 2).sum())
-
+    if not with_jacobian:
+        return value
     term = (-2.0 * pen / d)[:, None] * diff
     region = np.concatenate([lo, hi])
     order = np.argsort(region * n + np.concatenate([hi, lo]))
@@ -296,40 +299,45 @@ def _posed(problem, params):
     return verts, geom
 
 
-def _objective(problem, params, matches=None, want_grad=False):
-    """The weighted objective at params: (LossBreakdown, MatchSet, gradient
-    over packed params or None).
+def _match(problem, params):
+    """Fresh contact matches at params: (l_d, MatchSet), where l_d is the
+    sum of each contact pair's phi distance."""
+    centers = _posed(problem, params)[1].centers
+    return loss_distance(centers, problem.signature, problem.region_map,
+                         mode=problem.selection_mode, k=problem.selection_k)
 
-    With matches=None the contact matches are computed fresh and l_d is
-    their phi distance; given matches are frozen and l_d is their frozen
-    distance sum. The gradient is always the frozen-match one. It is
-    computed in reverse mode: each term's gradient w.r.t. the posed
-    vertices is summed, then pulled back once through the body.
+
+def _frozen(problem, params, matches, want_grad, l_d=None):
+    """The weighted objective at params with the contact matches frozen:
+    (LossBreakdown, gradient over packed params or None). l_d is the
+    matches' frozen distance sum unless given: the line search passes
+    _match's fresh value and wants no gradient, so no term computes one.
     """
     model = problem.model
     w = problem.weights
     verts, geom = _posed(problem, params)
+
+    def term(loss, *args):  # (value, gradient or None)
+        out = loss(*args, with_jacobian=want_grad)
+        return out if want_grad else (out, None)
+
     l_s, g_s = _projection_terms(model, verts, problem.camera, problem.keypoints,
                                  problem.keypoint_joints, want_grad)
-    l_psr, g_psr = loss_regularizer(params, problem.initial_params,
-                                    w.lambda_pose, w.lambda_shape)
-    l_col, g_col = loss_collision(geom.centers, problem.region_map,
-                                  problem.proxies, problem.signature)
-    if matches is None:
-        l_d, matches = loss_distance(geom.centers, problem.signature,
-                                     problem.region_map,
-                                     mode=problem.selection_mode,
-                                     k=problem.selection_k)
-        g_d = loss_distance_frozen(geom.centers, matches)[1] if want_grad else None
-    else:
+    l_psr, g_psr = term(loss_regularizer, params, problem.initial_params,
+                        w.lambda_pose, w.lambda_shape)
+    l_col, g_col = term(loss_collision, geom.centers, problem.region_map,
+                        problem.proxies, problem.signature)
+    if l_d is None:
         l_d, g_d = loss_distance_frozen(geom.centers, matches)
-    l_n, g_n = loss_normal(geom.normals, matches) if matches.entries else (0.0, None)
+    l_n, g_n = term(loss_normal, geom.normals, matches) if matches.entries else (0.0, None)
     total = (w.lambda_s * l_s + w.lambda_psr * l_psr + w.lambda_col * l_col
              + w.lambda_d * l_d + w.lambda_n * l_n)
     breakdown = LossBreakdown(l_s, l_psr, l_col, l_d, l_n, total)
-    _check_finite(breakdown)
+    for name in ("l_s", "l_psr", "l_col", "l_d", "l_n"):
+        if not np.isfinite(getattr(breakdown, name)):
+            raise OptimizationError(f"loss term {name} is non-finite")
     if not want_grad:
-        return breakdown, matches, None
+        return breakdown, None
 
     grad_verts = _scatter_centers_to_vertices(
         w.lambda_col * g_col + w.lambda_d * g_d, model.faces, model.num_vertices)
@@ -338,27 +346,23 @@ def _objective(problem, params, matches=None, want_grad=False):
         grad_verts += facet_normal_vjp(verts, model.faces, w.lambda_n * g_n)
     grad = pose_mesh_vjp(model, params, grad_verts)
     grad += w.lambda_psr * g_psr
-    return breakdown, matches, grad
-
-
-def _check_finite(b):
-    for name in ("l_s", "l_psr", "l_col", "l_d", "l_n"):
-        if not np.isfinite(getattr(b, name)):
-            raise OptimizationError(f"loss term {name} is non-finite")
+    return breakdown, grad
 
 
 def evaluate_breakdown(problem, params):
     """Per-term values at params with fresh contact matches. Returns
     (LossBreakdown, MatchSet)."""
-    breakdown, matches, _ = _objective(problem, params)
-    return breakdown, matches
+    l_d, matches = _match(problem, params)
+    return _frozen(problem, params, matches, False, l_d)[0], matches
 
 
 def evaluate_gradient(problem, params, matches=None):
     """Weighted-total gradient over packed params with the contact matches
     frozen: the given ones (those evaluate_breakdown found at params), or
     fresh ones when None."""
-    return _objective(problem, params, matches, want_grad=True)[2]
+    if matches is None:
+        matches = _match(problem, params)[1]
+    return _frozen(problem, params, matches, True)[1]
 
 
 def finite_difference_gradient(problem, params, step=1e-4):
@@ -369,21 +373,15 @@ def finite_difference_gradient(problem, params, step=1e-4):
     step (parameter counts are small enough for this to be cheap).
     """
     model = problem.model
-    _, matches, _ = _objective(problem, params)
+    matches = _match(problem, params)[1]
 
     def frozen_total(x):
         p = PoseParams.from_vector(x, model.num_joints)
-        return _objective(problem, p, matches)[0].total
+        return _frozen(problem, p, matches, False)[0].total
 
     x0 = params.to_vector()
-    grad = np.empty_like(x0)
-    for i in range(len(x0)):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[i] += step
-        xm[i] -= step
-        grad[i] = (frozen_total(xp) - frozen_total(xm)) / (2.0 * step)
-    return grad
+    return np.array([(frozen_total(x0 + e) - frozen_total(x0 - e)) / (2.0 * step)
+                     for e in step * np.eye(len(x0))])
 
 
 def optimize(problem):

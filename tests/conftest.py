@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contactfit.body import BodyModel, Camera, PoseParams
-from contactfit.synthetic import build_synthetic_body
+from contactfit.synthetic import _JOINT_POSITIONS, JOINT_NAMES, build_synthetic_body
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -24,6 +24,11 @@ def rel_error(analytic, numeric, floor=1e-8):
     numeric = np.asarray(numeric, dtype=float).ravel()
     denom = max(float(np.linalg.norm(numeric)), floor)
     return float(np.linalg.norm(analytic - numeric)) / denom
+
+
+def synthetic_rest_joints():
+    """The synthetic body's (J, 3) rest joint centers, in JOINT_NAMES order."""
+    return np.array([_JOINT_POSITIONS[name] for name in JOINT_NAMES], dtype=float)
 
 
 def single_joint_model(joint_at=(0.5, 0.0, 0.0)):

@@ -9,7 +9,8 @@ from contactfit.errors import (GeometryError, ParameterError, ProjectionError)
 from contactfit.rotations import rodrigues
 
 from conftest import (fd_gradient, rel_error, random_model, random_params,
-                      simple_camera, single_joint_model, two_joint_model)
+                      simple_camera, single_joint_model, synthetic_rest_joints,
+                      two_joint_model)
 
 
 class TestPoseMesh:
@@ -58,7 +59,7 @@ class TestPoseMesh:
         params.joint_rotations[0] = rvec
         posed = pose_mesh(model, params)
         R = rodrigues(rvec)
-        root = model.rest_joint_positions[0]
+        root = synthetic_rest_joints()[0]
         expected = (model.template_vertices - root) @ R.T + root
         assert np.abs(posed - expected).max() < 1e-6
 
@@ -226,14 +227,14 @@ class TestJointPositions:
     def test_identity_gives_rest_joints(self, synthetic_body):
         model = synthetic_body.model
         joints = joint_positions(model, PoseParams.identity(model.num_joints))
-        assert np.abs(joints - model.rest_joint_positions).max() < 1e-8
+        assert np.abs(joints - synthetic_rest_joints()).max() < 1e-8
 
     def test_pure_translation_shifts_all(self, synthetic_body):
         model = synthetic_body.model
         params = PoseParams.identity(model.num_joints)
         params.translation = np.array([0.4, -0.2, 0.9])
         joints = joint_positions(model, params)
-        assert np.allclose(joints, model.rest_joint_positions + params.translation,
+        assert np.allclose(joints, synthetic_rest_joints() + params.translation,
                            atol=1e-8)
 
     def test_random_pose_equals_regressor_product(self):

@@ -3,6 +3,7 @@ import pytest
 
 from contactfit.body import PoseParams, facet_geometry, joint_positions, pose_mesh
 from contactfit.contact import ContactSignature
+from contactfit.contact_geometry import loss_normal
 from contactfit import reconstruct
 from contactfit.errors import GeometryError, ParameterError
 from contactfit.inference_filter import FilterConfig
@@ -13,6 +14,7 @@ from contactfit.reconstruct import (CollisionProxySet, ObjectiveWeights,
                                     loss_collision, loss_projection,
                                     loss_regularizer, optimize)
 from contactfit.regions import RegionMap
+from contactfit.synthetic import generate_scenario
 from contactfit.train_losses import LossWeights
 
 from conftest import (fd_gradient, rel_error, random_model, random_params,
@@ -238,6 +240,81 @@ def _toy_problem(rng, contact_weights=True):
         keypoint_joints=joint_ids, signature=sig(4, contact=[(0, 2)]),
         initial_params=params, weights=weights,
         settings=OptimizerSettings(iterations=25, step_size=0.5))
+
+
+def _hand_chin_points():
+    """The seed-7 hand-chin fit at 75 regions, and its start point with
+    three random moves of it; the moves make the collision term active."""
+    bundle = generate_scenario("hand-chin", seed=7)
+    model = bundle.body.model
+    problem = ReconstructionProblem(
+        model=model, region_map=bundle.body.region_map, camera=bundle.camera,
+        keypoints=bundle.keypoints, keypoint_joints=bundle.keypoint_joints,
+        signature=bundle.signature, initial_params=bundle.initial_params)
+    rng = np.random.default_rng(23)
+    x0 = bundle.initial_params.to_vector()
+    points = [bundle.initial_params] + [
+        PoseParams.from_vector(x0 + rng.normal(0.0, 0.3, x0.shape), model.num_joints)
+        for _ in range(3)]
+    return problem, points
+
+
+def _recording(name, fn, calls):
+    def recorded(*args, **kwargs):
+        calls.append((name, kwargs))
+        return fn(*args, **kwargs)
+    return recorded
+
+
+@pytest.mark.filterwarnings("ignore:.*behind camera")
+class TestLineSearchComputesNoGradient:
+    """evaluate_breakdown, which the line search runs at every trial step,
+    computes values only, and they are the full calls' values to the bit."""
+
+    def test_breakdown_pulls_nothing_back_and_asks_no_jacobian(self, monkeypatch):
+        problem, points = _hand_chin_points()
+        calls = []
+        for name in ("pose_mesh_vjp", "facet_normal_vjp", "loss_distance_frozen",
+                     "loss_collision", "loss_normal", "loss_regularizer"):
+            monkeypatch.setattr(reconstruct, name,
+                                _recording(name, getattr(reconstruct, name), calls))
+        for params in points:
+            calls.clear()
+            _, matches = evaluate_breakdown(problem, params)
+            assert matches.entries
+            assert sorted(name for name, _ in calls) == [
+                "loss_collision", "loss_normal", "loss_regularizer"]
+            assert all(kwargs.get("with_jacobian") is False for _, kwargs in calls)
+
+    def test_value_only_terms_equal_the_full_calls_to_the_bit(self):
+        problem, points = _hand_chin_points()
+        w = problem.weights
+        active = 0
+        for params in points:
+            geom = facet_geometry(pose_mesh(problem.model, params), problem.model.faces)
+            _, matches = evaluate_breakdown(problem, params)
+            collision = (geom.centers, problem.region_map, problem.proxies,
+                         problem.signature)
+            regularizer = (params, problem.initial_params, w.lambda_pose, w.lambda_shape)
+            for loss, args in ((loss_collision, collision),
+                               (loss_normal, (geom.normals, matches)),
+                               (loss_regularizer, regularizer)):
+                value = loss(*args, with_jacobian=False)
+                assert type(value) is float
+                assert value.hex() == loss(*args, with_jacobian=True)[0].hex()
+            active += loss_collision(*collision, with_jacobian=False) > 0.0
+        assert active
+
+    def test_gradient_with_given_matches_does_not_match_again(self, monkeypatch):
+        problem, points = _hand_chin_points()
+        _, matches = evaluate_breakdown(problem, points[1])
+        calls = []
+        monkeypatch.setattr(reconstruct, "loss_distance",
+                            _recording("loss_distance", reconstruct.loss_distance, calls))
+        evaluate_gradient(problem, points[1], matches)
+        assert calls == []
+        evaluate_gradient(problem, points[1])
+        assert [name for name, _ in calls] == ["loss_distance"]
 
 
 class TestOptimize:
