@@ -20,9 +20,8 @@ from .inference_filter import (FilterConfig, RawPrediction, filter_signature,
                                threshold_signature)
 from .reconstruct import (CollisionProxySet, LossBreakdown, ObjectiveWeights,
                           OptimizerSettings, ReconstructionProblem,
-                          finite_difference_gradient, fit_collision_proxies,
-                          loss_collision, loss_projection, loss_regularizer,
-                          optimize)
+                          fit_collision_proxies, loss_collision,
+                          loss_projection, loss_regularizer, optimize)
 from .regions import (CoarsenMap, RegionMap, coarsen_region_map,
                       region_facets)
 from .synthetic import (SCENARIO_NAMES, ScenarioBundle, SyntheticBody,

@@ -148,8 +148,17 @@ def loss_normal(normals, matches, with_jacobian=True):
     return value, scatter_rows(_interleaved(n2, n1), _interleaved(f1, f2), len(normals))
 
 
+def region_gap(centers, region_map, r1, r2):
+    """The closest facet-center pair of regions r1 and r2: (distance, facet
+    of r1, facet of r2), ties to the lowest ids."""
+    ids1, ids2 = (region_facets(region_map, r) for r in (r1, r2))
+    nn, d = nearest_neighbors(centers[ids1], centers[ids2], ids2)
+    i = int(np.argmin(d))
+    return float(d[i]), int(ids1[i]), int(nn[i])
+
+
 def contact_distance_error(centers, sig, region_map):
-    """Mean over contact pairs of the minimum facet-center distance, in mm.
+    """Mean over contact pairs of the region gap, in mm.
 
     Returns None when the signature has no contact pairs.
     """
@@ -159,11 +168,5 @@ def contact_distance_error(centers, sig, region_map):
     if not pairs:
         return None
     centers = np.asarray(centers, dtype=float)
-    total = 0.0
-    for r1, r2 in pairs:
-        ids1 = np.flatnonzero(region_map.facet_to_region == r1)
-        ids2 = np.flatnonzero(region_map.facet_to_region == r2)
-        if len(ids1) == 0 or len(ids2) == 0:
-            raise ParameterError(f"contact pair ({r1}, {r2}) references an empty region")
-        total += float(nearest_neighbors(centers[ids1], centers[ids2], ids2)[1].min())
-    return 1000.0 * total / len(pairs)
+    gaps = [region_gap(centers, region_map, r1, r2)[0] for r1, r2 in pairs]
+    return 1000.0 * _sum_in_order(gaps) / len(pairs)

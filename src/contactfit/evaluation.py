@@ -26,9 +26,10 @@ class EvalRecord:
     def __post_init__(self):
         if self.scenario_class not in SCENARIO_CLASSES:
             raise ParameterError(f"unknown scenario class {self.scenario_class!r}")
-        for name in ("pose_error", "translation_error", "vertex_error"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be non-negative")
+        for name in METRIC_NAMES:
+            value = self.metric(name)
+            if not (name == "C" and value is None) and not 0 <= value < np.inf:
+                raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
 
     def metric(self, name):
         return {"P": self.pose_error, "T": self.translation_error,

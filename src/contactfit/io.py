@@ -121,6 +121,11 @@ def load_body_model(path):
     return BodyModel(verts, faces, parents, offsets, weights, regressor)
 
 
+def _numbers(values, kind, field, path):
+    """values (a list) as a `kind` array, each entry read by `_number`."""
+    return np.array([_number(x, kind, field, path) for x in values], dtype=kind)
+
+
 def _number_rows(rows, kind, field, path):
     """rows (a list of lists) as a `kind` array, each entry read by `_number`."""
     return np.array([[_number(x, kind, field, path) for x in row] for row in rows],
@@ -155,9 +160,10 @@ def save_pose_params(params, path):
 @_decoder("pose params")
 def load_pose_params(path):
     data = _load(path)
-    return PoseParams(np.asarray(_require(data, "joint_rotations", path, list)),
-                      np.asarray(_require(data, "translation", path, list)),
-                      np.asarray(_require(data, "shape", path, list)))
+    return PoseParams(_number_rows(_require(data, "joint_rotations", path, list), float,
+                                   "joint_rotations", path),
+                      *(_numbers(_require(data, f, path, list), float, f, path)
+                        for f in ("translation", "shape")))
 
 
 # -- camera -------------------------------------------------------------
@@ -190,7 +196,8 @@ def save_region_map(region_map, path):
 def load_region_map(path):
     data = _load(path)
     return RegionMap(_require(data, "granularity", path, int),
-                     np.asarray(_require(data, "facet_to_region", path, list)))
+                     _numbers(_require(data, "facet_to_region", path, list), int,
+                              "facet_to_region", path))
 
 
 def save_coarsen_map(cmap, path):
@@ -203,7 +210,7 @@ def load_coarsen_map(path):
     data = _load(path)
     return CoarsenMap(_require(data, "fine", path, int),
                       _require(data, "coarse", path, int),
-                      np.asarray(_require(data, "map", path, list)))
+                      _numbers(_require(data, "map", path, list), int, "map", path))
 
 
 # -- annotation (signature + image support) -----------------------------
@@ -293,9 +300,16 @@ def load_loss_bundle(path):
         sig, support, LandmarkSet(n, coords),
         _finite_rows(data, "seg_logits", path, n, 1),
         _finite_rows(data, "features", path, n, 2),
-        metric, _number(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP), float,
-                        "sigma_sq_sep", path),
+        metric, _finite(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP), "sigma_sq_sep", path),
         LossWeights(**data.get("weights", {})))
+
+
+def _finite(val, field, path):
+    """val as a finite float, or a CodecError naming the field."""
+    val = _number(val, float, field, path)
+    if not np.isfinite(val):
+        raise CodecError("not finite", path=path, field=field)
+    return val
 
 
 def _finite_rows(data, field, path, n, ndim):
@@ -377,11 +391,8 @@ def load_keypoints(path):
     joints = np.array([_require(r, "joint", path, int) for r in rows], dtype=int)
     if (joints < 0).any():
         raise CodecError("negative joint id", path=path, field="joint")
-    pts = np.array([[_require(r, "x", path, float), _require(r, "y", path, float)]
-                    for r in rows], dtype=float).reshape(-1, 2)
-    for field, column in zip("xy", pts.T):
-        if not np.isfinite(column).all():
-            raise CodecError("not finite", path=path, field=field)
+    pts = np.array([[_finite(_require(r, f, path), f, path) for f in "xy"] for r in rows],
+                   dtype=float).reshape(-1, 2)
     return pts, joints
 
 

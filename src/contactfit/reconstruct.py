@@ -32,7 +32,7 @@ from .contact_geometry import (_row_dots, loss_distance, loss_distance_frozen,
                                loss_normal)
 from .errors import (GeometryError, OptimizationError, ParameterError,
                      check_settings)
-from .regions import SELECTION_MODES, region_facets
+from .regions import SELECTION_MODES
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def fit_collision_proxies(centers, region_map, min_radius=5e-3):
     n = region_map.granularity
     centroids = np.empty((n, 3))
     radii = np.empty(n)
-    for r in range(n):  # one region at a time: `mean` adds pairwise
-        pts = np.asarray(centers)[region_facets(region_map, r)]
+    regions = np.split(np.asarray(centers)[region_map._facets], region_map._bounds[1:-1])
+    for r, pts in enumerate(regions):  # one region at a time: `mean` adds pairwise
         centroids[r] = pts.mean(axis=0)
         radii[r] = max(float(np.linalg.norm(pts - centroids[r], axis=1).max()),
                        min_radius)
@@ -149,8 +149,8 @@ def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
     if len(proxies.radii) != n:
         raise ParameterError("proxy count does not match region map granularity")
     f2r = region_map.facet_to_region
-    counts = np.bincount(f2r, minlength=n).astype(float)
-    cents = scatter_rows(centers, f2r, n) / counts[:, None] + proxies.offsets
+    counts = region_map._counts[:, None]
+    cents = scatter_rows(centers, f2r, n) / counts + proxies.offsets
 
     lo, hi = proxies.candidate_pairs(n, sig.contact_pairs() if sig is not None else ())
     diff = np.take(cents, lo, axis=0) - np.take(cents, hi, axis=0)
@@ -165,7 +165,7 @@ def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
     region = np.concatenate([lo, hi])
     order = np.argsort(region * n + np.concatenate([hi, lo]))
     grad_cents = scatter_rows(np.concatenate([term, -term])[order], region[order], n)
-    return value, np.take(grad_cents / counts[:, None], f2r, axis=0)
+    return value, np.take(grad_cents / counts, f2r, axis=0)
 
 
 def _projection_terms(model, verts, camera, keypoints, joint_ids, want_grad):
@@ -363,25 +363,6 @@ def evaluate_gradient(problem, params, matches=None):
     if matches is None:
         matches = _match(problem, params)[1]
     return _frozen(problem, params, matches, True)[1]
-
-
-def finite_difference_gradient(problem, params, step=1e-4):
-    """Central-difference gradient of the frozen-match objective.
-
-    Cross-validation oracle for evaluate_gradient: matches and proxies are
-    frozen at params, then every packed parameter is probed with the given
-    step (parameter counts are small enough for this to be cheap).
-    """
-    model = problem.model
-    matches = _match(problem, params)[1]
-
-    def frozen_total(x):
-        p = PoseParams.from_vector(x, model.num_joints)
-        return _frozen(problem, p, matches, False)[0].total
-
-    x0 = params.to_vector()
-    return np.array([(frozen_total(x0 + e) - frozen_total(x0 - e)) / (2.0 * step)
-                     for e in step * np.eye(len(x0))])
 
 
 def optimize(problem):

@@ -1,6 +1,6 @@
 """Surface partition into regions, granularity hierarchy, region queries."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,24 +15,34 @@ class RegionMap:
     """Facet -> region assignment at one granularity.
 
     facet_to_region: (F,) ints in [0, granularity); every region non-empty.
+    Held read-only, with each region's facet ids and count worked out once.
     """
 
     granularity: int
     facet_to_region: np.ndarray
+    # region r owns facets _facets[_bounds[r]:_bounds[r + 1]], ascending
+    _facets: np.ndarray = field(init=False, repr=False, compare=False)
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f2r = np.asarray(self.facet_to_region, dtype=int)
-        object.__setattr__(self, "facet_to_region", f2r)
+        f2r = np.array(self.facet_to_region, dtype=int)
         if self.granularity < 1:
             raise ParameterError("granularity must be positive")
         if f2r.ndim != 1 or len(f2r) == 0:
             raise ParameterError("facet_to_region must be a non-empty 1d array")
         if f2r.min() < 0 or f2r.max() >= self.granularity:
             raise ParameterError("region id out of range")
-        present = np.unique(f2r)
-        if len(present) != self.granularity:
-            missing = sorted(set(range(self.granularity)) - set(present.tolist()))
-            raise ParameterError(f"regions with no facets: {missing[:8]}")
+        counts = np.bincount(f2r, minlength=self.granularity)
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            raise ParameterError(f"regions with no facets: {missing[:8].tolist()}")
+        for name, value in (("facet_to_region", f2r),
+                            ("_facets", np.argsort(f2r, kind="stable")),
+                            ("_bounds", np.concatenate([[0], np.cumsum(counts)])),
+                            ("_counts", counts)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, RegionMap):
@@ -89,7 +99,7 @@ def region_facets(region_map, r, mode="all", k=2, centers=None):
     """
     if not 0 <= r < region_map.granularity:
         raise ParameterError(f"region id {r} out of range")
-    ids = np.flatnonzero(region_map.facet_to_region == r)
+    ids = region_map._facets[region_map._bounds[r]:region_map._bounds[r + 1]]
     if mode == "all":
         return ids
     if mode == "subset":

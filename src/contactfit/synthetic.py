@@ -10,9 +10,9 @@ follows anatomical parts; coarser granularities (37/17/9) are groupings of
 the fine regions.
 
 Scenarios pose the body into a self-contact configuration (two-bone IK plus
-a small fixed-point refinement on the actual facet gap), derive the ground
-truth annotation and camera, and perturb the pose into an optimization
-start point.
+a small fixed-point refinement on the contact pair's region gap, posing the
+mesh once per arm moved), derive the ground truth annotation and camera, and
+perturb the pose into an optimization start point.
 """
 
 from collections import namedtuple
@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import (BodyModel, Camera, PoseParams, facet_geometry,
-                   joint_positions, joint_transforms, pose_mesh, project)
+                   joint_transforms, pose_mesh, project)
 from .contact import ContactSignature, ImageSupport
-from .contact_geometry import _interleaved, _row_dots
+from .contact_geometry import _interleaved, _row_dots, region_gap
 from .errors import ParameterError
-from .regions import CoarsenMap, RegionMap
+from .regions import CoarsenMap, RegionMap, region_facets
 from .rotations import axis_angle_from_matrix, rodrigues, rotation_between
-from .spatial import nearest_neighbors
 
 JOINT_NAMES = [
     "pelvis", "spine", "chest", "neck", "head",
@@ -509,21 +508,14 @@ _SCENARIO_CONFIG = {
 }
 
 
-def _region_centroid(body, params, region):
-    geom = facet_geometry(pose_mesh(body.model, params), body.model.faces)
-    ids = np.flatnonzero(body.region_map.facet_to_region == region)
-    return geom.centers[ids].mean(axis=0), geom
+def _pose_points(model, params):
+    """Joint positions and facet centers of the posed mesh."""
+    verts = pose_mesh(model, params)
+    return model.joint_regressor @ verts, facet_geometry(verts, model.faces).centers
 
 
-def _min_gap(body, params, r1, r2):
-    geom = facet_geometry(pose_mesh(body.model, params), body.model.faces)
-    ids1 = np.flatnonzero(body.region_map.facet_to_region == r1)
-    ids2 = np.flatnonzero(body.region_map.facet_to_region == r2)
-    c1 = geom.centers[ids1]
-    c2 = geom.centers[ids2]
-    j, d = nearest_neighbors(c1, c2, np.arange(len(c2)))
-    i = np.argmin(d)
-    return float(d[i]), c1[i], c2[j[i]]
+def _centroid(body, centers, region):
+    return centers[region_facets(body.region_map, region)].mean(axis=0)
 
 
 def _arm_joint_names(side):
@@ -560,15 +552,15 @@ def _refine_arm_to_region(body, params, side, target_region, pole, gap=0.002,
     """Adjust the wrist target until the finger region sits `gap` meters
     from the target region (closest facet centers)."""
     fingers = body.named_regions[f"{side}_fingers"]
-    target_c, _ = _region_centroid(body, params, target_region)
-    wrist_target = target_c.copy()
+    wrist_target = _centroid(body, _pose_points(body.model, params)[1], target_region)
     for _ in range(iterations):
         _solve_arm(body, params, side, wrist_target, pole)
-        d, cf, ct = _min_gap(body, params, fingers, target_region)
+        centers = _pose_points(body.model, params)[1]
+        d, f, t = region_gap(centers, body.region_map, fingers, target_region)
         err = d - gap
         if abs(err) < 3e-4:
             break
-        direction = (cf - ct) / max(d, 1e-9)
+        direction = (centers[f] - centers[t]) / max(d, 1e-9)
         wrist_target = wrist_target - err * direction
     return params
 
@@ -591,21 +583,23 @@ def generate_scenario(name, seed=0, noise_px=0.0):
         perturbed_arms = ["r"]
     elif name == "hands-together":
         contact = (named["l_fingers"], named["r_fingers"])
-        meet = np.array([0.0, 0.25, 0.30])
-        _solve_arm(body, gt, "l", meet + [0.05, 0, 0], pole=(0.0, -1.0, 0.6))
-        _solve_arm(body, gt, "r", meet - [0.05, 0, 0], pole=(0.0, -1.0, 0.6))
+        meet, pole = np.array([0.0, 0.25, 0.30]), (0.0, -1.0, 0.6)
+        _solve_arm(body, gt, "l", meet + [0.05, 0, 0], pole)
+        _solve_arm(body, gt, "r", meet - [0.05, 0, 0], pole)
         for _ in range(12):
-            d, cl, cr = _min_gap(body, gt, named["l_fingers"], named["r_fingers"])
+            joints, centers = _pose_points(model, gt)
+            d, fl, fr = region_gap(centers, body.region_map, *contact)
             err = d - 0.002
             if abs(err) < 3e-4:
                 break
-            direction = (cl - cr) / max(d, 1e-9)
-            jl, _ = _region_centroid(body, gt, named["l_fingers"])
-            jr, _ = _region_centroid(body, gt, named["r_fingers"])
-            _solve_arm(body, gt, "l", _wrist_from_fingers(body, gt, "l", jl - 0.5 * err * direction),
-                       pole=(0.0, -1.0, 0.6))
-            _solve_arm(body, gt, "r", _wrist_from_fingers(body, gt, "r", jr + 0.5 * err * direction),
-                       pole=(0.0, -1.0, 0.6))
+            shift = 0.5 * err * ((centers[fl] - centers[fr]) / max(d, 1e-9))
+            target_l = _centroid(body, centers, contact[0]) - shift
+            target_r = _centroid(body, centers, contact[1]) + shift
+            _solve_arm(body, gt, "l",
+                       _wrist_from_fingers(body, joints, centers, "l", target_l), pole)
+            joints, centers = _pose_points(model, gt)  # the left arm moved
+            _solve_arm(body, gt, "r",
+                       _wrist_from_fingers(body, joints, centers, "r", target_r), pole)
         perturbed_arms = ["l", "r"]
     elif name == "arms-crossed":
         gt.joint_rotations[JOINT_INDEX["l_hip"]] = (-np.pi / 2, 0.0, 0.0)
@@ -632,7 +626,7 @@ def generate_scenario(name, seed=0, noise_px=0.0):
     signature = ContactSignature.from_sets(75, contact=[(lo, hi)])
 
     camera = default_camera()
-    gt_joints = joint_positions(model, gt)
+    gt_joints, gt_centers = _pose_points(model, gt)
     # the contacting hand has no keypoint: recovering it is the contact
     # term's job; for hand-knee the elbow is hidden too, otherwise the
     # keypoint-only baseline all but solves the arm
@@ -647,10 +641,8 @@ def generate_scenario(name, seed=0, noise_px=0.0):
 
     # image support: projected contact location per contacting region
     support_points = {}
-    geom = facet_geometry(pose_mesh(model, gt), model.faces)
     for r in (lo, hi):
-        ids = np.flatnonzero(body.region_map.facet_to_region == r)
-        uv = project(camera, geom.centers[ids].mean(axis=0))
+        uv = project(camera, _centroid(body, gt_centers, r))
         support_points[r] = (float(np.clip(uv[0] / IMAGE_SIZE, 0.0, 1.0)),
                              float(np.clip(uv[1] / IMAGE_SIZE, 0.0, 1.0)))
     support = ImageSupport(75, support_points)
@@ -676,9 +668,8 @@ def generate_scenario(name, seed=0, noise_px=0.0):
         config=dict(_SCENARIO_CONFIG))
 
 
-def _wrist_from_fingers(body, params, side, fingers_target):
-    """Current wrist position shifted so the finger-region centroid would
-    land on the target (rigid-hand approximation)."""
-    joints = joint_positions(body.model, params)
-    fingers_c, _ = _region_centroid(body, params, body.named_regions[f"{side}_fingers"])
+def _wrist_from_fingers(body, joints, centers, side, fingers_target):
+    """The posed wrist shifted so the finger-region centroid would land on
+    the target (rigid-hand approximation)."""
+    fingers_c = _centroid(body, centers, body.named_regions[f"{side}_fingers"])
     return joints[JOINT_INDEX[f"{side}_wrist"]] + (fingers_target - fingers_c)

@@ -104,6 +104,8 @@ def loss_separation(pred, sig, sigma_sq=DEFAULT_SIGMA_SQ_SEP):
     gradient rows are added in sorted pair order, so both equal a loop over
     the pairs to the bit. Returns (value, grad (N_R, 2)).
     """
+    if not np.isfinite(sigma_sq):
+        raise ParameterError("sigma_sq must be finite")
     if sigma_sq <= 0:
         raise ParameterError("sigma_sq must be positive")
     if pred.granularity != sig.granularity:

@@ -7,7 +7,8 @@ from contactfit.body import facet_geometry
 from contactfit.contact import ContactSignature
 from contactfit.contact_geometry import (contact_distance_error, loss_distance,
                                          loss_distance_frozen, loss_normal,
-                                         phi_distance, phi_distance_regions)
+                                         phi_distance, phi_distance_regions,
+                                         region_gap)
 from contactfit.errors import GeometryError, ParameterError
 from contactfit.regions import RegionMap
 from contactfit.rotations import rodrigues
@@ -297,4 +298,39 @@ class TestContactDistanceError:
         centers = np.zeros((2, 3))
         rmap = RegionMap(2, np.array([0, 1]))
         assert contact_distance_error(centers, sig(2), rmap) is None
+
+
+def loop_region_gap(centers, region_map, r1, r2):
+    """Oracle: every facet pair of r1 x r2 in ascending ids, keeping only a
+    strictly closer one."""
+    best = (math.inf, None, None)
+    for i in np.flatnonzero(region_map.facet_to_region == r1):
+        for j in np.flatnonzero(region_map.facet_to_region == r2):
+            d = float(np.sqrt(((centers[i] - centers[j]) ** 2).sum()))
+            if d < best[0]:
+                best = (d, int(i), int(j))
+    return best
+
+
+class TestRegionGap:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_regions_match_the_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+        f2r = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, 36)]))
+        rmap = RegionMap(n, f2r)
+        centers = rng.normal(0.0, 1.0, (40, 3))
+        for r1 in range(n):
+            for r2 in range(n):
+                if r1 != r2:
+                    assert region_gap(centers, rmap, r1, r2) == loop_region_gap(
+                        centers, rmap, r1, r2)
+
+    def test_ties_go_to_the_lowest_ids(self):
+        # facet 2 (region 0) at the origin, facets 0, 1 and 3 (region 1) each
+        # 1 from it
+        centers = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 0, 0], [0.0, 1, 0]])
+        rmap = RegionMap(2, np.array([1, 1, 0, 1]))
+        assert region_gap(centers, rmap, 0, 1) == (1.0, 2, 0)
+        assert region_gap(centers, rmap, 1, 0) == (1.0, 0, 2)
 

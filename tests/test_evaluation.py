@@ -141,3 +141,16 @@ class TestAggregate:
     def test_negative_metric_rejected(self):
         with pytest.raises(ParameterError):
             rec(0, "standing", -1.0, 1, 1, 1)
+
+    @pytest.mark.parametrize("metrics, name", [
+        ((np.nan, 1.0, 1.0, 1.0), "P"),
+        ((1.0, np.inf, 1.0, 1.0), "T"),
+        ((1.0, 1.0, -np.inf, 1.0), "V"),
+        ((1.0, 1.0, 1.0, np.nan), "C"),
+        ((1.0, 1.0, 1.0, -3.0), "C")])
+    def test_non_finite_metric_or_negative_contact_rejected(self, metrics, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite and non-negative"):
+            rec(0, "standing", *metrics)
+
+    def test_contact_distance_may_be_none(self):
+        assert rec(0, "standing", 1.0, 1.0, 1.0, None).metric("C") is None

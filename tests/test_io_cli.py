@@ -468,6 +468,59 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, name, edit, field", [
+        ("reconstruct", "regions_75.json",
+         lambda d: d["facet_to_region"].__setitem__(1, d["facet_to_region"][1] + 0.7),
+         "facet_to_region"),
+        ("reconstruct", "regions_75.json",
+         lambda d: d["facet_to_region"].__setitem__(1, True), "facet_to_region"),
+        ("reconstruct", "regions_75.json",
+         lambda d: d["facet_to_region"].__setitem__(1, str(d["facet_to_region"][1])),
+         "facet_to_region"),
+        ("coarsen", "coarsen_75_to_9.json",
+         lambda d: d["map"].__setitem__(1, d["map"][1] + 0.5), "map"),
+        ("export-obj", "gt_params.json",
+         lambda d: d.update(translation=[str(x) for x in d["translation"]]), "translation"),
+        ("export-obj", "gt_params.json",
+         lambda d: d["shape"].__setitem__(0, True), "shape")])
+    def test_maps_and_params_reject_a_lossy_number(self, hand_chin_bundle, tmp_path,
+                                                   capsys, command, name, edit, field):
+        bundle = shutil.copytree(hand_chin_bundle, tmp_path / "bundle")
+        data = json.loads((bundle / name).read_text())
+        edit(data)
+        (bundle / name).write_text(json.dumps(data))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 1\n")
+        out = tmp_path / "out"
+        args = {"reconstruct": _reconstruct_args(bundle, cfg, out),
+                "coarsen": ["coarsen", "--in", str(bundle / "annotation.json"),
+                            "--map", str(bundle / name), "--out", str(out)],
+                "export-obj": ["export-obj", "--body", str(bundle / "body.json"),
+                               "--params", str(bundle / name), "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert cli_dispatch(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bundle / name}: field '{field}': ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"P": float("nan")}, "P"),
+        ({"T": float("-inf")}, "T"),
+        ({"V": float("inf")}, "V"),
+        ({"C": float("nan")}, "C"),
+        ({"C": -3.0}, "C")])
+    def test_metrics_rejects_a_non_finite_or_negative_metric(self, tmp_path, capsys,
+                                                             edit, field):
+        path = _write(tmp_path / "rec.json", {**_RECORD, **edit})
+        out = tmp_path / "table.csv"
+        assert cli_dispatch(["metrics", "--records", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert f"{field} must be finite and non-negative" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_reconstruct_rejects_an_unknown_selection_mode(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         cli_dispatch(["synth", "--scenario", "hand-chin", "--seed", "2",
@@ -774,6 +827,8 @@ class TestLossBundleChecks:
         ("seg_logits", [2.0]),
         ("seg_logits", [2.0, float("inf")]),
         ("metric", "cosine"),
+        ("sigma_sq_sep", float("nan")),
+        ("sigma_sq_sep", float("inf")),
     ])
     def test_losses_exits_1_naming_the_file_and_field(self, tmp_path, capsys,
                                                        field, value):

@@ -97,7 +97,7 @@ _FIT_PATH = ("reconstruct.evaluate_breakdown", "reconstruct.evaluate_gradient",
              "reconstruct.loss_collision", "reconstruct.loss_regularizer",
              "contact_geometry.loss_distance", "contact_geometry.loss_distance_frozen",
              "contact_geometry.loss_normal", "contact_geometry.phi_distance",
-             "body.pose_mesh", "body.facet_geometry")
+             "regions.region_facets", "body.pose_mesh", "body.facet_geometry")
 
 
 def _recording(target, fn, calls):

@@ -13,7 +13,7 @@ from contactfit.reconstruct import (CollisionProxySet, ObjectiveWeights,
                                     fit_collision_proxies,
                                     loss_collision, loss_projection,
                                     loss_regularizer, optimize)
-from contactfit.regions import RegionMap
+from contactfit.regions import RegionMap, region_facets
 from contactfit.synthetic import generate_scenario
 from contactfit.train_losses import LossWeights
 
@@ -317,6 +317,39 @@ class TestLineSearchComputesNoGradient:
         assert [name for name, _ in calls] == ["loss_distance"]
 
 
+@pytest.fixture(scope="module")
+def hand_chin_bundle():
+    return generate_scenario("hand-chin", seed=7)
+
+
+@pytest.mark.filterwarnings("ignore:.*behind camera")
+@pytest.mark.parametrize("mode, k", [("subset", 2), ("subset", 3), ("center", 2)])
+def test_fit_under_a_selection_mode_matches_only_selected_facets(hand_chin_bundle, mode, k):
+    bundle = hand_chin_bundle
+    model, rmap = bundle.body.model, bundle.body.region_map
+    problem = ReconstructionProblem(
+        model=model, region_map=rmap, camera=bundle.camera,
+        keypoints=bundle.keypoints, keypoint_joints=bundle.keypoint_joints,
+        signature=bundle.signature, initial_params=bundle.initial_params,
+        settings=OptimizerSettings(iterations=5), selection_mode=mode, selection_k=k)
+    final, trace = optimize(problem)
+    totals = np.array([row.total for row in trace])
+    assert len(trace) == 6  # five accepted steps
+    assert np.isfinite([[row.l_s, row.l_psr, row.l_col, row.l_d, row.l_n, row.total]
+                        for row in trace]).all()
+    assert (np.diff(totals) <= 0.0).all()
+    for params in (bundle.initial_params, final):
+        centers = facet_geometry(pose_mesh(model, params), model.faces).centers
+        _, matches = reconstruct.evaluate_breakdown(problem, params)
+        assert sorted(matches.entries) == bundle.signature.contact_pairs()
+        for pair, pm in matches.entries.items():
+            selected = [region_facets(rmap, r, mode=mode, k=k, centers=centers)
+                        for r in pair]
+            assert len(pm.directed) == len(selected[0]) + len(selected[1])
+            for column, ids in zip(pm.directed.T, selected):
+                assert np.isin(column, ids).all()
+
+
 class TestOptimize:
     def test_fixed_point_when_targets_match_and_contact_off(self):
         rng = np.random.default_rng(12)
@@ -395,14 +428,20 @@ class TestOptimize:
         num = fd_gradient(frozen_total, params.to_vector(), step=1e-6)
         assert rel_error(grad, num) < 1e-3
 
-    def test_builtin_fd_oracle_agrees(self):
-        from contactfit.reconstruct import finite_difference_gradient, evaluate_gradient
+    def test_frozen_total_fd_agrees(self):
+        # central differences of _frozen's total, the matches frozen at params
         rng = np.random.default_rng(17)
         problem = _toy_problem(rng)
         problem.keypoints = problem.keypoints + 2.0
         params = problem.initial_params
-        grad = evaluate_gradient(problem, params)
-        num = finite_difference_gradient(problem, params, step=1e-6)
+        grad = reconstruct.evaluate_gradient(problem, params)
+        matches = reconstruct._match(problem, params)[1]
+
+        def frozen_total(x):
+            p = PoseParams.from_vector(x, problem.model.num_joints)
+            return reconstruct._frozen(problem, p, matches, False)[0].total
+
+        num = fd_gradient(frozen_total, params.to_vector(), step=1e-6)
         assert rel_error(grad, num) < 1e-3
 
     def test_arm_raise_scenario_contact_closes_and_control_stays(self):

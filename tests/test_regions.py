@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from contactfit.body import facet_geometry
 from contactfit.errors import GranularityError, ParameterError
 from contactfit.regions import (CoarsenMap, RegionMap, coarsen_region_map,
                                 region_facets)
+from contactfit.spatial import nearest_neighbors
 
 
 @pytest.fixture
@@ -52,6 +54,58 @@ class TestRegionFacets:
         cen = set(region_facets(small_map, 1, mode="center", centers=centers).tolist())
         assert sub <= full
         assert cen <= full and len(cen) == 1
+
+
+def scan_region_facets(region_map, r, mode="all", k=2, centers=None):
+    """Oracle: region_facets as a scan of facet_to_region on every call."""
+    ids = np.flatnonzero(region_map.facet_to_region == r)
+    if mode == "subset":
+        return ids[::k]
+    if mode == "center":
+        pts = np.asarray(centers)[ids]
+        return nearest_neighbors(pts.mean(axis=0)[None], pts, ids)[0]
+    return ids
+
+
+class TestRegionFacetIndex:
+    @staticmethod
+    def _maps_and_centers(body):
+        """The shipped 75-, 37-, 17- and 9-region maps with the template's
+        facet centers, then random maps with random centers."""
+        rmap = body.region_map
+        template = facet_geometry(body.model.template_vertices, body.model.faces).centers
+        out = [(rmap, template)] + [
+            (coarsen_region_map(rmap, body.coarsen_maps[(75, g)]), template)
+            for g in (37, 17, 9)]
+        rng = np.random.default_rng(11)
+        for n, f in ((1, 4), (3, 40), (12, 300)):
+            f2r = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, f - n)]))
+            out.append((RegionMap(n, f2r), rng.normal(0.0, 1.0, (f, 3))))
+        return out
+
+    def test_every_mode_equals_the_scan(self, synthetic_body):
+        modes = [("all", 2), ("subset", 1), ("subset", 2), ("subset", 3), ("center", 2)]
+        for rmap, centers in self._maps_and_centers(synthetic_body):
+            for r in range(rmap.granularity):
+                for mode, k in modes:
+                    got = region_facets(rmap, r, mode=mode, k=k, centers=centers)
+                    want = scan_region_facets(rmap, r, mode=mode, k=k, centers=centers)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_the_map_holds_a_read_only_copy(self):
+        f2r = np.array([0, 1, 1, 0])
+        rmap = RegionMap(2, f2r)
+        f2r[0] = 1
+        assert rmap.facet_to_region.tolist() == [0, 1, 1, 0]
+        assert region_facets(rmap, 0).tolist() == [0, 3]
+        with pytest.raises(ValueError):
+            rmap.facet_to_region[0] = 1
+        with pytest.raises(ValueError):
+            region_facets(rmap, 1)[0] = 0
+
+    def test_empty_regions_are_named(self):
+        with pytest.raises(ParameterError, match=r"regions with no facets: \[1, 3\]"):
+            RegionMap(5, np.array([0, 2, 4, 2]))
 
 
 class TestCoarsenRegionMap:

@@ -143,8 +143,14 @@ class TestSeparationLoss:
 
     def test_invalid_sigma(self):
         lms = LandmarkSet(2, np.zeros((2, 2)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="sigma_sq must be positive"):
             loss_separation(lms, sig(2), sigma_sq=0.0)
+
+    @pytest.mark.parametrize("sigma_sq", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma_sq):
+        lms = LandmarkSet(2, np.zeros((2, 2)))
+        with pytest.raises(ParameterError, match="sigma_sq must be finite"):
+            loss_separation(lms, sig(2), sigma_sq=sigma_sq)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(7)
