@@ -181,8 +181,10 @@ def load_camera(path):
                   fy=_require(data, "fy", path, float),
                   cx=_require(data, "cx", path, float),
                   cy=_require(data, "cy", path, float),
-                  rotation=np.asarray(_require(data, "rotation", path, list)),
-                  translation=np.asarray(_require(data, "translation", path, list)))
+                  rotation=_number_rows(_require(data, "rotation", path, list), float,
+                                        "rotation", path),
+                  translation=_numbers(_require(data, "translation", path, list), float,
+                                       "translation", path))
 
 
 # -- regions ------------------------------------------------------------
@@ -292,7 +294,8 @@ def load_loss_bundle(path):
     sig, support = _annotation_from(n, _require(data, "signature", path, dict),
                                      data.get("support", []), path)
     coords = ([softargmax(h)[0] for h in data["heatmaps"]] if "heatmaps" in data
-              else _require(data, "landmarks", path))
+              else _number_rows(_require(data, "landmarks", path, list), float,
+                                "landmarks", path))
     metric = data.get("metric", "dot")
     if metric not in SIMILARITY_METRICS:
         raise CodecError(f"unknown similarity metric {metric!r}", path=path, field="metric")
@@ -313,10 +316,16 @@ def _finite(val, field, path):
 
 
 def _finite_rows(data, field, path, n, ndim):
-    """data[field] as a finite float array of `ndim` dimensions and n rows."""
-    arr = np.asarray(_require(data, field, path), dtype=float)
+    """data[field] as a finite float array of `ndim` dimensions and n rows,
+    each entry read by `_number`."""
+    rows = _require(data, field, path, list)
+    want = f"({n},)" if ndim == 1 else f"({n}, d)"
+    if ndim == 2 and not all(isinstance(row, list) and len(row) == len(rows[0])
+                             for row in rows):
+        raise CodecError(f"expected shape {want}, got rows that are not lists of one length",
+                         path=path, field=field)
+    arr = (_numbers if ndim == 1 else _number_rows)(rows, float, field, path)
     if arr.ndim != ndim or len(arr) != n:
-        want = f"({n},)" if ndim == 1 else f"({n}, d)"
         raise CodecError(f"expected shape {want}, got {arr.shape}", path=path, field=field)
     if not np.isfinite(arr).all():
         raise CodecError("not finite", path=path, field=field)

@@ -129,10 +129,11 @@ class TestPhiDistance:
         with pytest.raises(ParameterError):
             phi_distance(np.zeros((3, 3)), [], [0])
 
-    def test_kdtree_matches_brute_on_random_configs(self):
+    def test_scan_matches_loop_on_random_configs(self):
         # the scan equals the loop to the bit: random clouds, the largest
         # coarse contact pair of the shipped body (172 x 56 facets), exact
-        # ties among shuffled ids, duplicate points and a single data point
+        # ties among shuffled ids, duplicate points, a single data point, and
+        # a posed-facet-like pair: mm apart, 1-2 m from the origin
         rng = np.random.default_rng(3)
         for trial in range(100):
             n1 = int(rng.integers(1, 40))
@@ -148,8 +149,10 @@ class TestPhiDistance:
         shuffled = rng.permutation(30)
         assert_scan_matches_loop(duplicated, shuffled[:12], shuffled[12:])
         assert_scan_matches_loop(pts[:8], np.arange(7), [7])
+        posed = rng.uniform(1.0, 2.0, 3) + rng.normal(0, 0.005, (228, 3))
+        assert_scan_matches_loop(posed, np.arange(172), np.arange(172, 228))
 
-    def test_kdtree_tie_breaks_to_lowest_id(self):
+    def test_scan_tie_breaks_to_lowest_id(self):
         # two data points equidistant from the query
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         ids, dists = nearest_neighbors(np.zeros((1, 3)), pts, [5, 9])

@@ -450,6 +450,9 @@ class TestCli:
         ("annotation.json", lambda d: d.update(granularity="75"), "granularity"),
         ("camera.json", lambda d: d.update(fx=True), "fx"),
         ("camera.json", lambda d: d.update(fy="500"), "fy"),
+        ("camera.json", lambda d: d.update(translation=["0", "0", "2"]), "translation"),
+        ("camera.json", lambda d: d.update(rotation=[[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+         "rotation"),
         ("keypoints.json", lambda d: d["keypoints"][0].update(joint=1.7), "joint"),
         ("keypoints.json", lambda d: d["keypoints"][0].update(x="3"), "x")])
     def test_reconstruct_rejects_a_lossy_or_mistyped_number(self, hand_chin_bundle, tmp_path,
@@ -809,13 +812,14 @@ class TestPredictionArrays:
             io.load_prediction(path)
         assert err.value.path == path and err.value.field == "segmentation_probs"
 
-    def test_filter_exits_1_on_a_nan_segmentation_probability(self, tmp_path, capsys):
-        path = _write(tmp_path / "pred.json",
-                      {**_PREDICTION, "segmentation_probs": [0.5, float("nan")]})
+    @pytest.mark.parametrize("probs", [[0.5, float("nan")], ["0.5", 0.5]])
+    def test_filter_exits_1_on_a_bad_segmentation_probability(self, tmp_path, capsys, probs):
+        path = _write(tmp_path / "pred.json", {**_PREDICTION, "segmentation_probs": probs})
         assert cli_dispatch(["filter", "--pred", str(path),
                              "--out", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {path}: field 'segmentation_probs': ")
+        assert "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
 
@@ -826,6 +830,8 @@ class TestLossBundleChecks:
         ("features", [[1.0], [float("nan")]]),
         ("seg_logits", [2.0]),
         ("seg_logits", [2.0, float("inf")]),
+        ("seg_logits", ["2.0", True]),
+        ("landmarks", [["0.2", 0.2], [0.2, 0.2]]),
         ("metric", "cosine"),
         ("sigma_sq_sep", float("nan")),
         ("sigma_sq_sep", float("inf")),
