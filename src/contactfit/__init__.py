@@ -21,7 +21,8 @@ from .inference_filter import (FilterConfig, RawPrediction, filter_signature,
 from .reconstruct import (CollisionProxySet, LossBreakdown, ObjectiveWeights,
                           OptimizerSettings, ReconstructionProblem,
                           fit_collision_proxies, loss_collision,
-                          loss_projection, loss_regularizer, optimize)
+                          loss_projection, loss_regularizer, optimize,
+                          problem_options)
 from .regions import (CoarsenMap, RegionMap, coarsen_region_map,
                       region_facets)
 from .synthetic import (SCENARIO_NAMES, ScenarioBundle, SyntheticBody,

@@ -8,7 +8,6 @@ seeds.
 
 import argparse
 import csv
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,12 +18,11 @@ from .body import PoseParams, facet_geometry, joint_positions, pose_mesh
 from .contact import (ContactState, ImageSupport, contact_stats,
                       coarsen_signature, segmentation_from_signature)
 from .contact_geometry import contact_distance_error
-from .errors import CodecError, ContactFitError, ParameterError, check_number
+from .errors import CodecError, ContactFitError
 from .evaluation import (SCENARIO_CLASSES, EvalRecord, aggregate, mpjpe,
                          translation_error, vertex_error)
 from .inference_filter import FilterConfig, filter_signature, sweep_thresholds
-from .reconstruct import (ObjectiveWeights, OptimizerSettings,
-                          ReconstructionProblem, optimize)
+from .reconstruct import ReconstructionProblem, optimize, problem_options
 from .synthetic import SCENARIO_NAMES, generate_scenario
 from .train_losses import (loss_landmark, loss_separation,
                            loss_segmentation_ce, signature_similarity_loss,
@@ -55,37 +53,6 @@ def _cmd_synth(args):
     return 0
 
 
-def _field_types(cls):
-    """{field name: type of its default} of a config dataclass."""
-    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
-
-
-# the ReconstructionProblem options a reconstruct config may set
-_SELECTION_TYPES = {"selection_mode": str, "selection_k": int}
-
-
-def _cast_config(cfg, types, path=None):
-    """The keys of cfg named in types ({key: type}), each cast to its type;
-    an int or float one without loss, by `check_number`. A value that does
-    not cast is a CodecError naming the file and key."""
-    kw = {}
-    for key, cast in types.items():
-        if key in cfg:
-            try:
-                kw[key] = cast(cfg[key]) if cast is str else check_number(key, cfg[key], cast)
-            except (ParameterError, OverflowError) as e:  # an int past float range
-                raise CodecError(str(e), path=path, field=key) from e
-    return kw
-
-
-def _weights_from_config(cfg, path=None):
-    return ObjectiveWeights(**_cast_config(cfg, _field_types(ObjectiveWeights), path))
-
-
-def _settings_from_config(cfg, path=None):
-    return OptimizerSettings(**_cast_config(cfg, _field_types(OptimizerSettings), path))
-
-
 def _cmd_reconstruct(args):
     model = io.load_body_model(args.body)
     region_map = io.load_region_map(args.regions)
@@ -95,18 +62,11 @@ def _cmd_reconstruct(args):
     init = (io.load_pose_params(args.init) if args.init
             else PoseParams.identity(model.num_joints))
     cfg = io.load_config(args.config) if args.config else {}
-    known = (_field_types(ObjectiveWeights) | _field_types(OptimizerSettings)
-             | _SELECTION_TYPES)
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise CodecError("unknown key", path=args.config, field=unknown[0])
     problem = ReconstructionProblem(
         model=model, region_map=region_map, camera=camera,
         keypoints=keypoints, keypoint_joints=keypoint_joints,
         signature=signature, initial_params=init,
-        weights=_weights_from_config(cfg, args.config),
-        settings=_settings_from_config(cfg, args.config),
-        **_cast_config(cfg, _SELECTION_TYPES, args.config))
+        **problem_options(cfg, args.config))
     final, trace = optimize(problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,12 +3,21 @@
 Every encode/decode pair round-trips exactly (floats survive via repr), and
 encoding is deterministic (sorted keys) so identical inputs produce
 byte-identical files.
+
+Each JSON loader declares its fields once, as `_Field` data that `_read`
+reads, a list of row objects column by column: one pass takes a column's
+entry types, and `errors.check_number` runs per entry only when a type is not
+allowed. Checked per entry, a prediction's thousands of rows would cost more
+than its JSON parse; a bad entry still gets that check's message and field.
 """
 
+import contextlib
 import csv
+import dataclasses
 import functools
 import json
 from collections import namedtuple
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +34,94 @@ from .train_losses import (DEFAULT_SIGMA_SQ_SEP, SIMILARITY_METRICS, LandmarkSet
 
 _STATE_VALUES = {"contact": ContactState.CONTACT, "masked": ContactState.MASKED,
                  "no-contact": ContactState.NO_CONTACT}
+_REQUIRED = object()
+# the entry types each kind takes as they are
+_ALLOWED = {int: {int}, float: {float, int}, str: {str}}
+
+
+class _Field(namedtuple("_Field", "kind shape finite default null_rows",
+                        defaults=((), False, _REQUIRED, False))):
+    """A field of an input file. kind: int, float, str, or a {name: _Field}
+    dict for an object (keys 0, 1, ... for a list). shape: per level of list
+    nesting, None for any length, a length, or the name of an int field read
+    before it; (None,) with a dict kind is a list of rows. finite: no NaN or
+    infinity. default: the value of a missing field, read as a given one; a
+    None default also admits null. null_rows: a null row reads as NaNs."""
+
+
+def _read(value, field, path, name=None, known=None):
+    """value, the field `name`, read as `field` declares: {name: value} for
+    an object, {key: column} for a list of rows, a str or a list of them, a
+    Python int or float, or an int or float array; else a CodecError."""
+    if value is None and field.default is None:
+        return None
+    if isinstance(field.kind, dict):
+        return (_read_rows if field.shape else _read_object)(value, field.kind, path, name)
+    want = [known[d] if isinstance(d, str) else d for d in field.shape]
+    entries, shape = [value], []
+    for depth, length in enumerate(want):  # one level of list nesting at a time
+        if field.null_rows and depth == 1:
+            entries = [[np.nan] * length if row is None else row for row in entries]
+        if (set(map(type, entries)) - {list} or len(lengths := set(map(len, entries))) > 1
+                or length is not None and lengths - {length}):
+            raise CodecError(f"expected lists of shape {want}", path=path, field=name)
+        shape.append(lengths.pop() if lengths else length or 0)
+        entries = list(chain.from_iterable(entries)) if depth else value
+    bad = set(map(type, entries)) - _ALLOWED[field.kind]
+    if bad and field.kind is str:
+        first = next(v for v in entries if type(v) in bad)
+        raise CodecError(f"expected a string, got {first!r}", path=path, field=name)
+    if bad:
+        try:
+            entries = [check_number(name, v, field.kind) if type(v) in bad else v
+                       for v in entries]
+        except ParameterError as e:
+            raise CodecError(str(e), path=path, field=name) from None
+    if field.kind is str:
+        return entries if shape else entries[0]
+    arr = np.fromiter(entries, field.kind, len(entries)).reshape(shape)
+    if field.finite and not np.isfinite(arr).all():
+        raise CodecError("not finite", path=path, field=name)
+    return arr if shape else arr.item()
+
+
+def _read_object(data, fields, path, name):
+    """{name: value} of `fields` in the object `data`, which holds no other."""
+    if type(data) is not dict:
+        raise CodecError("expected an object", path=path, field=name)
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise CodecError("unknown key", path=path, field=unknown[0])
+    out = {}
+    for key, field in fields.items():
+        value = data.get(key, field.default)
+        if value is _REQUIRED:
+            raise CodecError("missing", path=path, field=key)
+        out[key] = _read(value, field, path, key, out)
+    return out
+
+
+def _read_rows(rows, fields, path, name):
+    """{key: column} of a list of rows that each hold every key of `fields`
+    and no other, each column read as its field with one more dimension. A
+    column of list rows (keys 0, 1, ...) is named by the list."""
+    positional = isinstance(next(iter(fields)), int)
+    expected = f"expected a list of {'lists' if positional else 'objects'}"
+    if type(rows) is not list:
+        raise CodecError(expected, path=path, field=name)
+    columns = {}
+    for key, field in fields.items():
+        try:
+            column = [row[key] for row in rows]
+        except (KeyError, IndexError):
+            raise CodecError("missing", path=path, field=name if positional else key) from None
+        except TypeError:  # a row of another kind
+            raise CodecError(expected, path=path, field=name) from None
+        columns[key] = _read(column, field._replace(shape=(None,) + field.shape), path,
+                             name if positional else key)
+    if set(map(len, rows)) - {len(fields)}:  # every row holds every field: one holds more
+        raise CodecError("a row holds an undeclared field", path=path, field=name)
+    return columns
 
 
 def _dump(obj, path):
@@ -33,19 +130,18 @@ def _dump(obj, path):
         f.write("\n")
 
 
-def _load(path):
-    with open(path) as f:
-        return json.load(f)
-
-
-def _decoder(what):
-    """Decorator of a `load_*(path)`: a missing file, bad JSON or any
-    malformed content raises a CodecError naming the file."""
+def _decoder(what, fields=None):
+    """Decorator of a `load_*`: `load_*(path)` calls it with `_read` of the
+    JSON file's `fields` (its `fields` attribute) and the path, or with the
+    path alone. Any fault in the file is a CodecError naming the file."""
     def wrap(load):
         @functools.wraps(load)
         def decode(path):
             try:
-                return load(path)
+                if fields is None:
+                    return load(path)
+                with open(path) as f:
+                    return load(_read(json.load(f), fields, path), path)
             except CodecError:
                 raise
             except OSError as e:
@@ -55,35 +151,9 @@ def _decoder(what):
             except (ValueError, TypeError, KeyError, IndexError, AttributeError,
                     OverflowError, ContactFitError) as e:
                 raise CodecError(f"invalid {what}: {e}", path=path) from e
+        decode.fields = fields
         return decode
     return wrap
-
-
-def _require(data, field, path, kind=None):
-    """data[field], checked to be a list or dict `kind`, or cast by `_number`
-    to an int or float `kind`."""
-    if field not in data:
-        raise CodecError("missing", path=path, field=field)
-    val = data[field]
-    if kind is None:  # first: a prediction file's rows take it three times a pair
-        return val
-    if kind in (int, float):
-        return _number(val, kind, field, path)
-    if not isinstance(val, kind):
-        raise CodecError(f"expected {kind.__name__}", path=path, field=field)
-    return val
-
-
-def _number(val, kind, field, path):
-    """val as a `kind` (int or float) by `errors.check_number`, or a
-    CodecError naming the field. A float passes as it is: the field's own
-    check names a non-finite one."""
-    if kind is float and isinstance(val, float):
-        return val
-    try:
-        return check_number(field, val, kind)
-    except ParameterError as e:
-        raise CodecError(str(e), path=path, field=field) from None
 
 
 # -- body model ---------------------------------------------------------
@@ -105,47 +175,37 @@ def save_body_model(model, path):
     }, path)
 
 
-@_decoder("body model")
-def load_body_model(path):
-    data = _load(path)
-    verts = _number_rows(_require(data, "vertices", path, list), float, "vertices", path)
-    faces = _number_rows(_require(data, "faces", path, list), int, "faces", path)
-    joints = _require(data, "joints", path, list)
-    parents = np.array([_require(j, "parent", path, int) for j in joints], dtype=int)
-    if ((parents < -1) | (parents >= len(joints))).any():
+_SPARSE = _Field({0: _Field(int), 1: _Field(int), 2: _Field(float)}, (None,))
+
+
+@_decoder("body model", _Field({
+    "vertices": _Field(float, (None, None)), "faces": _Field(int, (None, None)),
+    "joints": _Field({"parent": _Field(int), "offset": _Field(float, (None,))}, (None,)),
+    "weights": _SPARSE, "regressor": _SPARSE}))
+def load_body_model(f, path):
+    parents = f["joints"]["parent"]
+    if ((parents < -1) | (parents >= len(parents))).any():
         raise CodecError("parent id out of range", path=path, field="parent")
-    offsets = _number_rows([_require(j, "offset", path) for j in joints], float,
-                           "offset", path)
-    weights = _sparse(data, "weights", path, (len(verts), len(joints)))
-    regressor = _sparse(data, "regressor", path, (len(joints), len(verts)))
-    return BodyModel(verts, faces, parents, offsets, weights, regressor)
+    shape = (len(f["vertices"]), len(parents))
+    return BodyModel(f["vertices"], f["faces"], parents, f["joints"]["offset"],
+                     _sparse(f["weights"], "weights", path, shape),
+                     _sparse(f["regressor"], "regressor", path, shape[::-1]))
 
 
-def _numbers(values, kind, field, path):
-    """values (a list) as a `kind` array, each entry read by `_number`."""
-    return np.array([_number(x, kind, field, path) for x in values], dtype=kind)
-
-
-def _number_rows(rows, kind, field, path):
-    """rows (a list of lists) as a `kind` array, each entry read by `_number`."""
-    return np.array([[_number(x, kind, field, path) for x in row] for row in rows],
-                    dtype=kind)
-
-
-def _sparse(data, field, path, shape):
-    """The matrix of shape `shape` of the [row, column, value] rows of
-    data[field]; each (row, column) in range and given at most once."""
+def _sparse(entries, field, path, shape):
+    """The matrix of shape `shape` of the [row, column, value] entries (the
+    `_SPARSE` columns) of `field`; each (row, column) in range and given at
+    most once."""
+    i, j = entries[0], entries[1]
+    repeated = np.ones(len(i), dtype=bool)  # out-of-range entries are reported first
+    repeated[np.unique(i * shape[1] + j, return_index=True)[1]] = False
+    for bad, what in (((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1]),
+                       f"out of range for shape {shape}"), (repeated, "given twice")):
+        if bad.any():
+            k = bad.argmax()
+            raise CodecError(f"entry ({i[k]}, {j[k]}) {what}", path=path, field=field)
     out = np.zeros(shape)
-    given = np.zeros(shape, dtype=bool)
-    for i, j, value in _require(data, field, path, list):
-        i, j = _number(i, int, field, path), _number(j, int, field, path)
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-            raise CodecError(f"entry ({i}, {j}) out of range for shape {shape}",
-                             path=path, field=field)
-        if given[i, j]:
-            raise CodecError(f"entry ({i}, {j}) given twice", path=path, field=field)
-        given[i, j] = True
-        out[i, j] = _number(value, float, field, path)
+    out[i, j] = entries[2]
     return out
 
 
@@ -157,13 +217,11 @@ def save_pose_params(params, path):
            "shape": params.shape.tolist()}, path)
 
 
-@_decoder("pose params")
-def load_pose_params(path):
-    data = _load(path)
-    return PoseParams(_number_rows(_require(data, "joint_rotations", path, list), float,
-                                   "joint_rotations", path),
-                      *(_numbers(_require(data, f, path, list), float, f, path)
-                        for f in ("translation", "shape")))
+@_decoder("pose params", _Field({"joint_rotations": _Field(float, (None, None)),
+                                 "translation": _Field(float, (None,)),
+                                 "shape": _Field(float, (None,))}))
+def load_pose_params(f, path):
+    return PoseParams(**f)
 
 
 # -- camera -------------------------------------------------------------
@@ -174,17 +232,11 @@ def save_camera(camera, path):
            "translation": camera.translation.tolist()}, path)
 
 
-@_decoder("camera")
-def load_camera(path):
-    data = _load(path)
-    return Camera(fx=_require(data, "fx", path, float),
-                  fy=_require(data, "fy", path, float),
-                  cx=_require(data, "cx", path, float),
-                  cy=_require(data, "cy", path, float),
-                  rotation=_number_rows(_require(data, "rotation", path, list), float,
-                                        "rotation", path),
-                  translation=_numbers(_require(data, "translation", path, list), float,
-                                       "translation", path))
+@_decoder("camera", _Field({**dict.fromkeys(("fx", "fy", "cx", "cy"), _Field(float)),
+                            "rotation": _Field(float, (None, None)),
+                            "translation": _Field(float, (None,))}))
+def load_camera(f, path):
+    return Camera(**f)
 
 
 # -- regions ------------------------------------------------------------
@@ -194,12 +246,10 @@ def save_region_map(region_map, path):
            "facet_to_region": region_map.facet_to_region.tolist()}, path)
 
 
-@_decoder("region map")
-def load_region_map(path):
-    data = _load(path)
-    return RegionMap(_require(data, "granularity", path, int),
-                     _numbers(_require(data, "facet_to_region", path, list), int,
-                              "facet_to_region", path))
+@_decoder("region map", _Field({"granularity": _Field(int),
+                                "facet_to_region": _Field(int, (None,))}))
+def load_region_map(f, path):
+    return RegionMap(**f)
 
 
 def save_coarsen_map(cmap, path):
@@ -207,12 +257,10 @@ def save_coarsen_map(cmap, path):
            "map": cmap.mapping.tolist()}, path)
 
 
-@_decoder("coarsen map")
-def load_coarsen_map(path):
-    data = _load(path)
-    return CoarsenMap(_require(data, "fine", path, int),
-                      _require(data, "coarse", path, int),
-                      _numbers(_require(data, "map", path, list), int, "map", path))
+@_decoder("coarsen map", _Field({"fine": _Field(int), "coarse": _Field(int),
+                                 "map": _Field(int, (None,))}))
+def load_coarsen_map(f, path):
+    return CoarsenMap(f["fine"], f["coarse"], f["map"])
 
 
 # -- annotation (signature + image support) -----------------------------
@@ -228,36 +276,38 @@ def save_annotation(signature, support, path):
            "support": supp}, path)
 
 
-@_decoder("annotation")
-def load_annotation(path):
-    """Returns (ContactSignature, ImageSupport).
-
-    Accepts an optional masked_regions list: all pairs touching those
-    regions become masked (unless annotated contact).
-    """
-    data = _load(path)
-    return _annotation_from(_require(data, "granularity", path, int), data,
-                            data.get("support", []), path)
+# the fields of a signature, and the support rows, of an annotation or bundle
+_SIGNATURE = {"pairs": _Field({"r1": _Field(int), "r2": _Field(int), "state": _Field(str)},
+                              (None,)),
+              "masked_regions": _Field(int, (None,), default=[])}
+_SUPPORT = _Field({"r": _Field(int), "x": _Field(float), "y": _Field(float)}, (None,),
+                  default=[])
 
 
-def _annotation_from(n, sigdata, support_rows, path):
+@_decoder("annotation", _Field({"granularity": _Field(int), **_SIGNATURE,
+                                "support": _SUPPORT}))
+def load_annotation(f, path):
+    """(ContactSignature, ImageSupport). All pairs touching a region of
+    `masked_regions` become masked, unless annotated contact."""
+    return _annotation_from(f["granularity"], f, f["support"], path)
+
+
+def _annotation_from(n, sig, support, path):
     """(ContactSignature, ImageSupport) at granularity n from the `pairs`
-    and optional `masked_regions` of sigdata and the support rows. A pair
-    listed twice, or support on a region not in contact, is a CodecError."""
+    and `masked_regions` of sig and the support columns. A pair listed
+    twice, or support on a region not in contact, is a CodecError."""
     annotated = {}  # (lo, hi) -> state name
-    for row in _require(sigdata, "pairs", path, list):
-        state = _require(row, "state", path)
+    pairs = sig["pairs"]
+    for r1, r2, state in zip(pairs["r1"].tolist(), pairs["r2"].tolist(), pairs["state"]):
         if state not in _STATE_VALUES:
             raise CodecError(f"unknown state {state!r}", path=path, field="pairs")
-        r1, r2 = _require(row, "r1", path, int), _require(row, "r2", path, int)
         pair = (min(r1, r2), max(r1, r2))
         if pair in annotated:
             prev = annotated[pair]
             what = f"listed twice as {state}" if prev == state else f"both {prev} and {state}"
             raise CodecError(f"pair {pair} is {what}", path=path, field="pairs")
         annotated[pair] = state
-    for r in sigdata.get("masked_regions", []):
-        r = _number(r, int, "masked_regions", path)
+    for r in sig["masked_regions"].tolist():
         if not 0 <= r < n:
             raise CodecError(f"region {r} out of range", path=path,
                              field="masked_regions")
@@ -266,10 +316,8 @@ def _annotation_from(n, sigdata, support_rows, path):
                 annotated.setdefault((min(r, other), max(r, other)), "masked")
     sig = ContactSignature(n, [(pair, _STATE_VALUES[state])
                                for pair, state in annotated.items()])
-    support = ImageSupport(n, {_require(row, "r", path, int):
-                               (_require(row, "x", path, float),
-                                _require(row, "y", path, float))
-                               for row in support_rows})
+    support = ImageSupport(n, {r: (x, y) for r, x, y in
+                               zip(*(support[k].tolist() for k in "rxy"))})
     seg = segmentation_from_signature(sig)
     for r in support.regions():
         if seg.states[r] != ContactState.CONTACT:
@@ -285,66 +333,42 @@ LossBundle = namedtuple("LossBundle", ["signature", "support", "landmarks", "seg
                                        "features", "metric", "sigma_sq_sep", "weights"])
 
 
-@_decoder("loss bundle")
-def load_loss_bundle(path):
+@_decoder("loss bundle", _Field({
+    "granularity": _Field(int), "signature": _Field(_SIGNATURE), "support": _SUPPORT,
+    "landmarks": _Field(float, ("granularity", 2), True, None),
+    "heatmaps": _Field(float, ("granularity", None, None), True, None),
+    "seg_logits": _Field(float, ("granularity",), True),
+    "features": _Field(float, ("granularity", None), True),
+    "metric": _Field(str, default="dot"),
+    "sigma_sq_sep": _Field(float, finite=True, default=DEFAULT_SIGMA_SQ_SEP),
+    "weights": _Field({w.name: _Field(float, default=w.default)
+                       for w in dataclasses.fields(LossWeights)}, default={})}))
+def load_loss_bundle(f, path):
     """A LossBundle. The signature and support decode as an annotation's
     do; the landmarks are given, or are the soft-argmax of `heatmaps`."""
-    data = _load(path)
-    n = _require(data, "granularity", path, int)
-    sig, support = _annotation_from(n, _require(data, "signature", path, dict),
-                                     data.get("support", []), path)
-    coords = ([softargmax(h)[0] for h in data["heatmaps"]] if "heatmaps" in data
-              else _number_rows(_require(data, "landmarks", path, list), float,
-                                "landmarks", path))
-    metric = data.get("metric", "dot")
-    if metric not in SIMILARITY_METRICS:
-        raise CodecError(f"unknown similarity metric {metric!r}", path=path, field="metric")
-    return LossBundle(
-        sig, support, LandmarkSet(n, coords),
-        _finite_rows(data, "seg_logits", path, n, 1),
-        _finite_rows(data, "features", path, n, 2),
-        metric, _finite(data.get("sigma_sq_sep", DEFAULT_SIGMA_SQ_SEP), "sigma_sq_sep", path),
-        LossWeights(**data.get("weights", {})))
-
-
-def _finite(val, field, path):
-    """val as a finite float, or a CodecError naming the field."""
-    val = _number(val, float, field, path)
-    if not np.isfinite(val):
-        raise CodecError("not finite", path=path, field=field)
-    return val
-
-
-def _finite_rows(data, field, path, n, ndim):
-    """data[field] as a finite float array of `ndim` dimensions and n rows,
-    each entry read by `_number`."""
-    rows = _require(data, field, path, list)
-    want = f"({n},)" if ndim == 1 else f"({n}, d)"
-    if ndim == 2 and not all(isinstance(row, list) and len(row) == len(rows[0])
-                             for row in rows):
-        raise CodecError(f"expected shape {want}, got rows that are not lists of one length",
-                         path=path, field=field)
-    arr = (_numbers if ndim == 1 else _number_rows)(rows, float, field, path)
-    if arr.ndim != ndim or len(arr) != n:
-        raise CodecError(f"expected shape {want}, got {arr.shape}", path=path, field=field)
-    if not np.isfinite(arr).all():
-        raise CodecError("not finite", path=path, field=field)
-    return arr
+    n = f["granularity"]
+    sig, support = _annotation_from(n, f["signature"], f["support"], path)
+    coords = (f["landmarks"] if f["heatmaps"] is None
+              else [softargmax(h)[0] for h in f["heatmaps"]])
+    if coords is None:
+        raise CodecError("missing", path=path, field="landmarks")
+    if f["metric"] not in SIMILARITY_METRICS:
+        raise CodecError(f"unknown similarity metric {f['metric']!r}", path=path,
+                         field="metric")
+    return LossBundle(sig, support, LandmarkSet(n, coords), f["seg_logits"], f["features"],
+                      f["metric"], f["sigma_sq_sep"], LossWeights(**f["weights"]))
 
 
 # -- sweep manifest ------------------------------------------------------
 
-@_decoder("manifest")
-def load_manifest(path):
+@_decoder("manifest", _Field({"prediction": _Field(str), "ground_truth": _Field(str)},
+                             (None,)))
+def load_manifest(f, path):
     """[(prediction path, ground-truth path)] of a sweep manifest, a JSON
     list of {prediction, ground_truth} rows; the paths are resolved against
     the manifest's folder."""
-    rows = _load(path)
-    if not isinstance(rows, list):
-        raise CodecError("expected a list of {prediction, ground_truth} rows", path=path)
     base = Path(path).parent
-    return [(base / _require(row, "prediction", path),
-             base / _require(row, "ground_truth", path)) for row in rows]
+    return [(base / p, base / g) for p, g in zip(f["prediction"], f["ground_truth"])]
 
 
 # -- raw predictions and filter config ----------------------------------
@@ -360,30 +384,26 @@ def save_prediction(pred, path):
            "landmarks": landmarks}, path)
 
 
-@_decoder("prediction")
-def load_prediction(path):
-    data = _load(path)
-    n = _require(data, "granularity", path, int)
-    rows = _require(data, "signature_probs", path, list)
-    r1, r2, probs = ([_require(row, f, path) for row in rows] for f in ("r1", "r2", "p"))
-    landmarks = [[np.nan, np.nan] if lm is None else lm
-                 for lm in _require(data, "landmarks", path, list)]
-    return RawPrediction.from_arrays(
-        n, np.array([r1, r2], dtype=np.int64).T, probs,
-        _finite_rows(data, "segmentation_probs", path, n, 1),
-        np.asarray(landmarks, dtype=float))
+@_decoder("prediction", _Field({
+    "granularity": _Field(int),
+    "signature_probs": _Field({"r1": _Field(int), "r2": _Field(int),
+                               "p": _Field(float, finite=True)}, (None,)),
+    "segmentation_probs": _Field(float, ("granularity",), True),
+    "landmarks": _Field(float, ("granularity", 2), null_rows=True)}))
+def load_prediction(f, path):
+    probs = f["signature_probs"]
+    return RawPrediction.from_arrays(f["granularity"], np.stack([probs["r1"], probs["r2"]], 1),
+                                     probs["p"], f["segmentation_probs"], f["landmarks"])
 
 
 def save_filter_config(cfg, path):
     _dump({"tau_s": cfg.tau_s, "tau_c": cfg.tau_c, "tau_dist": cfg.tau_dist}, path)
 
 
-@_decoder("filter config")
-def load_filter_config(path):
-    data = _load(path)
-    return FilterConfig(tau_s=_require(data, "tau_s", path),
-                        tau_c=_require(data, "tau_c", path),
-                        tau_dist=_require(data, "tau_dist", path))
+@_decoder("filter config", _Field(dict.fromkeys(("tau_s", "tau_c", "tau_dist"),
+                                                _Field(float))))
+def load_filter_config(f, path):
+    return FilterConfig(**f)
 
 
 # -- keypoints ----------------------------------------------------------
@@ -393,16 +413,14 @@ def save_keypoints(keypoints, keypoint_joints, path):
                          for j, (x, y) in zip(keypoint_joints, keypoints)]}, path)
 
 
-@_decoder("keypoints")
-def load_keypoints(path):
-    data = _load(path)
-    rows = _require(data, "keypoints", path, list)
-    joints = np.array([_require(r, "joint", path, int) for r in rows], dtype=int)
-    if (joints < 0).any():
+@_decoder("keypoints", _Field({"keypoints": _Field({
+    "joint": _Field(int), "x": _Field(float, finite=True), "y": _Field(float, finite=True)},
+    (None,))}))
+def load_keypoints(f, path):
+    rows = f["keypoints"]
+    if (rows["joint"] < 0).any():
         raise CodecError("negative joint id", path=path, field="joint")
-    pts = np.array([[_finite(_require(r, f, path), f, path) for f in "xy"] for r in rows],
-                   dtype=float).reshape(-1, 2)
-    return pts, joints
+    return np.stack([rows["x"], rows["y"]], 1), rows["joint"]
 
 
 # -- evaluation records --------------------------------------------------
@@ -413,15 +431,11 @@ def save_eval_record(record, path):
            "V": record.vertex_error, "C": record.contact_distance}, path)
 
 
-@_decoder("eval record")
-def load_eval_record(path):
-    data = _load(path)
-    return EvalRecord(str(_require(data, "id", path)),
-                      str(_require(data, "class", path)),
-                      _require(data, "P", path, float),
-                      _require(data, "T", path, float),
-                      _require(data, "V", path, float),
-                      None if data.get("C") is None else _require(data, "C", path, float))
+@_decoder("eval record", _Field({"id": _Field(str), "class": _Field(str),
+                                 **dict.fromkeys("PTV", _Field(float)),
+                                 "C": _Field(float, default=None)}))
+def load_eval_record(f, path):
+    return EvalRecord(f["id"], f["class"], f["P"], f["T"], f["V"], f["C"])
 
 
 # -- reconstruction config (key = value lines) --------------------------
@@ -435,36 +449,21 @@ def save_config(config, path):
 @_decoder("config")
 def load_config(path):
     """{key: value} of `key = value` lines, a value read as a bool, an int,
-    a float or else a string; `#` starts a comment.
-
-    This is the one generic `key = value` parser, and it accepts any key:
-    the caller whitelists the keys it knows (`contactfit reconstruct`
-    rejects the others, and casts each value to its field's type).
-    """
+    a float or else a string; `#` starts a comment. Any key is read:
+    `reconstruct.problem_options` rejects a key it does not know."""
     out = {}
     with open(path) as f:
-        lines = f.readlines()
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CodecError(f"line {lineno} is not 'key = value'", path=path)
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if not key:
-            raise CodecError(f"line {lineno} has no key", path=path)
-        if raw.lower() in ("true", "false"):
-            out[key] = raw.lower() == "true"
-            continue
-        try:
-            out[key] = int(raw)
-        except ValueError:
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                out[key] = raw
+        for lineno, line in enumerate(f, 1):
+            key, eq, raw = (part.strip() for part in line.split("#", 1)[0].partition("="))
+            if key and not eq:
+                raise CodecError(f"line {lineno} is not 'key = value'", path=path)
+            if eq and not key:
+                raise CodecError(f"line {lineno} has no key", path=path)
+            if key:
+                out[key] = {"true": True, "false": False}.get(raw.lower(), raw)
+                for cast in (float, int):  # an int reads as one, not as a float
+                    with contextlib.suppress(ValueError):
+                        out[key] = cast(raw)
     return out
 
 

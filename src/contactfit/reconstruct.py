@@ -22,7 +22,7 @@ pose the mesh again.
 """
 
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
                    pose_mesh_vjp, scatter_rows)
 from .contact_geometry import (_row_dots, loss_distance, loss_distance_frozen,
                                loss_normal)
-from .errors import (GeometryError, OptimizationError, ParameterError,
-                     check_settings)
+from .errors import (CodecError, GeometryError, OptimizationError, ParameterError,
+                     check_number, check_settings)
 from .regions import SELECTION_MODES
 
 
@@ -274,6 +274,29 @@ class ReconstructionProblem:
         if self.proxies is None:
             centers = _posed(self, self.initial_params)[1].centers
             self.proxies = fit_collision_proxies(centers, self.region_map)
+
+
+def problem_options(config, path=None):
+    """The weights, settings, selection_mode and selection_k keywords of a
+    ReconstructionProblem from a config mapping (say, `io.load_config`'s).
+    An unknown key, or a value that does not cast to its field's type without
+    loss (`check_number`), is a CodecError naming the key and the file."""
+    types = {"selection_mode": str, "selection_k": int}
+    for cls in (ObjectiveWeights, OptimizerSettings):
+        types.update((f.name, type(f.default)) for f in fields(cls))
+    unknown = sorted(set(config) - set(types))
+    if unknown:
+        raise CodecError("unknown key", path=path, field=unknown[0])
+    kw = {}
+    for key, value in config.items():
+        cast = types[key]
+        try:
+            kw[key] = str(value) if cast is str else check_number(key, value, cast)
+        except (ParameterError, OverflowError) as e:  # an int past float range
+            raise CodecError(str(e), path=path, field=key) from e
+    options = {name: cls(**{f.name: kw.pop(f.name) for f in fields(cls) if f.name in kw})
+               for name, cls in (("weights", ObjectiveWeights), ("settings", OptimizerSettings))}
+    return options | kw  # and the selection keys left in kw
 
 
 def _scatter_centers_to_vertices(grad_centers, faces, num_vertices):

@@ -1,7 +1,10 @@
 """Golden answers: fit and sweep results of fixed inputs, pinned to the bit.
 
 `tests/golden/answers.json` holds, for each pinned fit, the step count and
-`float.hex` of every final packed parameter and of the last trace row; for
+`float.hex` of every final packed parameter and of the last trace row, and
+of the `evaluate_breakdown` row and `evaluate_gradient` at the start point
+(which pin the arithmetic of one evaluation, such as the summation order of
+the nearest-neighbour scan, even where no step of the fit moves); for
 the threshold sweep, the chosen thresholds and IoUs in hex and the filtered
 signatures' contact pairs. The fits are the four scenarios at seed 7 with
 region map and signature coarsened 75 -> 9 and a 60-step cap (as the
@@ -18,7 +21,6 @@ Regenerate from the root of the repository with:
     PYTHONPATH=src python3 tests/test_golden_answers.py
 """
 
-import dataclasses
 import json
 import platform
 import warnings
@@ -27,10 +29,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactfit import (SCENARIO_NAMES, ContactSignature, ObjectiveWeights,
-                        OptimizerSettings, RawPrediction, ReconstructionProblem,
-                        coarsen_region_map, coarsen_signature, filter_signature,
-                        generate_scenario, optimize, sweep_thresholds)
+from contactfit import (SCENARIO_NAMES, ContactSignature, RawPrediction,
+                        ReconstructionProblem, coarsen_region_map, coarsen_signature,
+                        filter_signature, generate_scenario, optimize,
+                        problem_options, sweep_thresholds)
+from contactfit.reconstruct import evaluate_breakdown, evaluate_gradient
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "answers.json"
 SEED = 7
@@ -42,11 +45,6 @@ SWEEP_GRIDS = ((0.3, 0.5, 0.7), (0.3, 0.5, 0.7), (0.05, 0.1, 0.2))
 
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
-
-
-def _config_fields(cls, config):
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in config.items() if k in names})
 
 
 def _problem(name, granularity, iterations):
@@ -62,17 +60,18 @@ def _problem(name, granularity, iterations):
         model=bundle.body.model, region_map=region_map, camera=bundle.camera,
         keypoints=bundle.keypoints, keypoint_joints=bundle.keypoint_joints,
         signature=signature, initial_params=bundle.initial_params,
-        weights=_config_fields(ObjectiveWeights, config),
-        settings=_config_fields(OptimizerSettings, config),
-        selection_mode=config.get("selection_mode", "all"),
-        selection_k=config.get("selection_k", 2))
+        **problem_options(config))
 
 
 def fit_answer(level, name):
     granularity, iterations, _ = FITS[level]
     params, trace = optimize(_problem(name, granularity, iterations))
+    start = _problem(name, granularity, iterations)
+    row, matches = evaluate_breakdown(start, start.initial_params)
     return {"steps": len(trace) - 1, "params": _hex(params.to_vector()),
-            "last_row": {k: _hex([v])[0] for k, v in vars(trace[-1]).items()}}
+            "last_row": {k: _hex([v])[0] for k, v in vars(trace[-1]).items()},
+            "start_row": {k: _hex([v])[0] for k, v in vars(row).items()},
+            "start_gradient": _hex(evaluate_gradient(start, start.initial_params, matches))}
 
 
 def _validation_pair(seed, n=12):

@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 
@@ -332,6 +333,94 @@ class TestEveryLoader:
                                            tmp_path / "sub" / "g.json")]
 
 
+
+def _declared(field, value, name=None, keys=(), obj=None):
+    """(name, field, keys, filled) of each int, float or str field that
+    `field` declares, whose value in a valid file is `value`: keys lead to
+    it (through the first row of a list of rows), and filled is None when
+    the file holds one of its entries, or else a value of its shape to put
+    there first."""
+    if isinstance(field.kind, dict) and field.shape:
+        assert value, f"the valid file needs a row of '{name}'"
+        for key, column in field.kind.items():
+            yield from _declared(column, value[0][key], name if isinstance(key, int) else key,
+                                 keys + (0, key))
+    elif isinstance(field.kind, dict):
+        value = value if isinstance(value, dict) else {}
+        for key, sub in field.kind.items():
+            yield from _declared(sub, value.get(key), key, keys + (key,), value)
+    else:
+        entry = value
+        for _ in field.shape:
+            entry = entry[0] if isinstance(entry, list) and entry else None
+        filled = {int: 0, float: 0.0, str: ""}[field.kind]
+        for length in reversed(field.shape):
+            filled = [filled] * (obj[length] if isinstance(length, str) else length or 1)
+        yield name, field, keys, None if entry is not None else filled
+
+
+def _with_entry(doc, keys, depth, filled, bad):
+    """A copy of doc with the first entry at keys set to bad, after setting
+    the field itself to filled unless that is None."""
+    doc = container = copy.deepcopy(doc)
+    for key in keys[:-1]:
+        container = (container.setdefault(key, {}) if isinstance(container, dict)
+                     else container[key])
+    key = keys[-1]
+    if filled is not None:
+        container[key] = copy.deepcopy(filled)
+    for _ in range(depth):
+        container, key = container[key], 0
+    container[key] = bad
+    return doc
+
+
+def _declared_field_cases():
+    for loader in _LOADERS:
+        fields = getattr(io, loader).fields
+        if fields is None:  # the key = value config
+            continue
+        for name, field, keys, filled in _declared(fields, _MALFORMED[loader][0]):
+            bad = ([3, None] if field.kind is str else
+                   ["1", True] + [0.5] * (field.kind is int) + [float("inf")] * field.finite)
+            for value in bad:
+                yield pytest.param(loader, keys, len(field.shape), filled, value, name,
+                                   id=f"{loader}-{'.'.join(map(str, keys))}={value!r}")
+
+
+@pytest.mark.parametrize("loader, keys, depth, filled, bad, field", _declared_field_cases())
+def test_every_declared_field_rejects_a_mistyped_entry(tmp_path, loader, keys, depth, filled,
+                                                       bad, field):
+    path = _write(tmp_path / "in.json", _with_entry(_MALFORMED[loader][0], keys, depth,
+                                                    filled, bad))
+    with pytest.raises(CodecError) as err:
+        getattr(io, loader)(path)
+    assert err.value.field == field and err.value.path == path, err.value
+
+
+@pytest.mark.parametrize("name, content, field", [
+    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1.9, "p": 0.5}]}, "r2"),
+    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": False, "r2": 1, "p": 0.5}]},
+     "r1"),
+    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1, "p": "0.9"}]}, "p"),
+    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1, "p": True}]}, "p"),
+    ("pred.json", {**_PREDICTION, "landmarks": [["1.5", True], None]}, "landmarks"),
+    ("manifest.json", [{"prediction": 3, "ground_truth": "g.json"}], "prediction"),
+    ("bundle.json", {**_BUNDLE, "heatmaps": [[[True]], [[False]]]}, "heatmaps"),
+    ("bundle.json", {**_BUNDLE, "heatmaps": [[["0"]], [["1"]]]}, "heatmaps"),
+    ("record.json", {**_RECORD, "id": None}, "id")])
+def test_cli_names_the_file_and_field_of_a_mistyped_value(tmp_path, capsys, name, content,
+                                                          field):
+    path, out = _write(tmp_path / name, content), str(tmp_path / "out")
+    argv = {"pred.json": ["filter", "--pred", str(path), "--out", out],
+            "manifest.json": ["sweep", "--manifest", str(path), "--out", out],
+            "bundle.json": ["losses", "--in", str(path)],
+            "record.json": ["metrics", "--records", str(path), "--out", out]}[name]
+    assert cli_dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: field '{field}': ") and "Traceback" not in err
+
+
 class TestCli:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2
@@ -535,11 +624,11 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: unknown selection mode 'nearest'")
 
     def test_reconstruct_config_keys_follow_the_dataclasses(self):
-        from contactfit.cli import _settings_from_config, _weights_from_config
-        settings = _settings_from_config({"armijo_c": 1e-3, "iterations": 7.0})
+        from contactfit.reconstruct import problem_options
+        settings = problem_options({"armijo_c": 1e-3, "iterations": 7.0})["settings"]
         assert settings.armijo_c == 1e-3 and settings.iterations == 7
         assert isinstance(settings.iterations, int)
-        assert _weights_from_config({"lambda_pose": 2}).lambda_pose == 2.0
+        assert problem_options({"lambda_pose": 2})["weights"].lambda_pose == 2.0
 
     def test_synth_writes_bundle(self, tmp_path, capsys):
         out = tmp_path / "bundle"
