@@ -158,12 +158,6 @@ class ContactSegmentation:
         self.granularity = int(granularity)
         self.states = states
 
-    def contact_regions(self):
-        return set(np.flatnonzero(self.states == ContactState.CONTACT).tolist())
-
-    def masked_regions(self):
-        return set(np.flatnonzero(self.states == ContactState.MASKED).tolist())
-
     def __eq__(self, other):
         if not isinstance(other, ContactSegmentation):
             return NotImplemented

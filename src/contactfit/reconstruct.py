@@ -28,6 +28,7 @@ import numpy as np
 
 from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
                    pose_mesh_vjp, scatter_rows)
+from .contact import _CONTACT, _key, _norm_pair, _pair_states, _triangle
 from .contact_geometry import (_row_dots, loss_distance, loss_distance_frozen,
                                loss_normal)
 from .errors import (CodecError, GeometryError, OptimizationError, ParameterError,
@@ -80,36 +81,29 @@ class LossBreakdown:
 
 @dataclass
 class CollisionProxySet:
-    """Per-region bounding sphere plus excluded region pairs.
+    """Per-region bounding sphere plus the region pairs the penalty skips.
 
-    The sphere center is the posed region centroid plus a fixed offset;
-    radii and exclusions are frozen when fitted.
+    The sphere center is the posed region centroid. `excluded` holds
+    region pairs, given in either order and kept as (lo, hi); a pair on the
+    diagonal or outside the len(radii) regions is a ParameterError. The
+    pairs the penalty measures are worked out once, as a read-only boolean
+    vector over the packed upper triangle of the regions (`contact._key`),
+    the layout of a signature's state vector.
     """
 
-    radii: np.ndarray    # (N_R,)
-    offsets: np.ndarray  # (N_R, 3)
-    excluded: set        # of (lo, hi) region pairs
+    radii: np.ndarray  # (N_R,)
+    excluded: set      # of (lo, hi) region pairs
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
-        self.offsets = np.asarray(self.offsets, dtype=float)
         if (self.radii <= 0).any():
             raise ParameterError("proxy radii must be positive")
-        self.excluded = {(min(a, b), max(a, b)) for a, b in self.excluded}
-        self._candidates = None
-
-    def candidate_pairs(self, n, contact_pairs=()):
-        """Region pairs (lo, hi) the penalty considers, as two index arrays
-        in row-major order: the upper triangle of n regions minus the
-        excluded pairs and the given contact pairs. Cached for the last
-        (n, contact pairs) asked for."""
-        key = (n, tuple(contact_pairs))
-        if self._candidates is None or self._candidates[0] != key:
-            keep = np.triu(np.ones((n, n), dtype=bool), k=1)
-            for a, b in self.excluded | set(key[1]):
-                keep[a, b] = False
-            self._candidates = (key,) + np.nonzero(keep)
-        return self._candidates[1:]
+        n = len(self.radii)
+        self.excluded = {_norm_pair(a, b, n) for a, b in self.excluded}
+        lo, hi = np.array(list(self.excluded), dtype=np.int64).reshape(-1, 2).T
+        self._kept = np.ones(n * (n - 1) // 2, dtype=bool)
+        self._kept[_key(lo, hi, n)] = False
+        self._kept.flags.writeable = False
 
 
 def fit_collision_proxies(centers, region_map, min_radius=5e-3):
@@ -126,11 +120,10 @@ def fit_collision_proxies(centers, region_map, min_radius=5e-3):
         centroids[r] = pts.mean(axis=0)
         radii[r] = max(float(np.linalg.norm(pts - centroids[r], axis=1).max()),
                        min_radius)
-    lo, hi = np.triu_indices(n, 1)
+    lo, hi = _triangle(n)
     diff = centroids[lo] - centroids[hi]
     near = np.sqrt(_row_dots(diff, diff)) < radii[lo] + radii[hi]
-    excluded = set(zip(lo[near].tolist(), hi[near].tolist()))
-    return CollisionProxySet(radii, np.zeros((n, 3)), excluded)
+    return CollisionProxySet(radii, set(zip(lo[near].tolist(), hi[near].tolist())))
 
 
 def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
@@ -140,7 +133,8 @@ def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
     touch). Returns (value, grad w.r.t. facet centers (F, 3)) or, when
     with_jacobian=False, the value alone.
 
-    Only the candidate pairs are measured, and each region sums its
+    Every pair of the packed upper triangle is measured; the excluded and
+    contact pairs are masked out of the active ones. Each region sums its
     partners' gradient terms in partner order, so the result is the dense
     (n, n) computation's to the bit.
     """
@@ -148,15 +142,19 @@ def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
     n = region_map.granularity
     if len(proxies.radii) != n:
         raise ParameterError("proxy count does not match region map granularity")
+    if sig is not None and sig.granularity != n:
+        raise ParameterError("signature and region map granularities differ")
     f2r = region_map.facet_to_region
     counts = region_map._counts[:, None]
-    cents = scatter_rows(centers, f2r, n) / counts + proxies.offsets
+    cents = scatter_rows(centers, f2r, n) / counts
 
-    lo, hi = proxies.candidate_pairs(n, sig.contact_pairs() if sig is not None else ())
+    lo, hi = _triangle(n)
     diff = np.take(cents, lo, axis=0) - np.take(cents, hi, axis=0)
     d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
     pen = np.take(proxies.radii, lo) + np.take(proxies.radii, hi) - d
-    active = (pen > 0.0) & (d > 1e-12)
+    active = proxies._kept & (pen > 0.0) & (d > 1e-12)
+    if sig is not None:
+        active &= _pair_states(sig)[2] != _CONTACT
     lo, hi, pen, d, diff = lo[active], hi[active], pen[active], d[active], diff[active]
     value = float((pen ** 2).sum())
     if not with_jacobian:
@@ -274,6 +272,8 @@ class ReconstructionProblem:
         if self.proxies is None:
             centers = _posed(self, self.initial_params)[1].centers
             self.proxies = fit_collision_proxies(centers, self.region_map)
+        elif len(self.proxies.radii) != self.region_map.granularity:
+            raise ParameterError("proxies must hold one radius per region")
 
 
 def problem_options(config, path=None):

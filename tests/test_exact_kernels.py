@@ -79,7 +79,7 @@ def loss_collision_dense(centers, region_map, proxies, sig=None):
     counts = np.bincount(f2r, minlength=n).astype(float)
     cents = np.zeros((n, 3))
     np.add.at(cents, f2r, centers)
-    cents = cents / counts[:, None] + proxies.offsets
+    cents = cents / counts[:, None]
     skip = np.zeros((n, n), dtype=bool)
     pairs = list(proxies.excluded) + (sig.contact_pairs() if sig is not None else [])
     for a, b in pairs:
@@ -221,21 +221,27 @@ class TestCollisionKernel:
         centers = rng.normal(0.0, 0.01, (15, 3))
         centers[f2r > 0] += 0.05 * rng.normal(size=(12, 3))
         rmap = RegionMap(5, f2r)
-        proxies = CollisionProxySet(np.full(5, 0.06), rng.normal(0, 0.01, (5, 3)),
-                                    {(2, 3)})
+        proxies = CollisionProxySet(np.full(5, 0.06), {(2, 3)})
         value, grad = loss_collision(centers, rmap, proxies)
         expected, expected_grad, partners = loss_collision_dense(centers, rmap, proxies)
         assert partners[0] >= 3
         assert value == expected and value > 0.0
         assert np.array_equal(grad, expected_grad)
 
-    def test_candidate_pairs_follow_the_signature(self):
-        proxies = CollisionProxySet(np.ones(4), np.zeros((4, 3)), {(2, 1)})
-        lo, hi = proxies.candidate_pairs(4, [(0, 3)])
-        assert list(zip(lo.tolist(), hi.tolist())) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-        lo, hi = proxies.candidate_pairs(4)
-        assert list(zip(lo.tolist(), hi.tolist())) == [(0, 1), (0, 2), (0, 3),
-                                                        (1, 3), (2, 3)]
+    def test_excluded_and_contact_pairs_are_skipped(self):
+        # every pair overlaps, so only the skipped pairs are absent
+        rng = np.random.default_rng(48)
+        f2r = np.repeat(np.arange(4), 3)
+        centers = rng.normal(0.0, 0.05, (12, 3))
+        rmap = RegionMap(4, f2r)
+        proxies = CollisionProxySet(np.ones(4), {(2, 1)})
+        for s, partners in ((None, [3, 2, 2, 3]),
+                            (ContactSignature.from_sets(4, contact=[(0, 3)]), [2, 2, 2, 2])):
+            value, grad = loss_collision(centers, rmap, proxies, s)
+            expected, expected_grad, counted = loss_collision_dense(centers, rmap, proxies, s)
+            assert value == expected and value > 0.0
+            assert np.array_equal(grad, expected_grad)
+            assert counted.tolist() == partners
 
 
 # -- contact terms ------------------------------------------------------------

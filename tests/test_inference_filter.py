@@ -24,15 +24,15 @@ def make_prediction(n=6, pair_probs=None, seg=None, landmarks=None):
 class TestThresholdSegmentation:
     def test_all_zero_probs(self):
         seg = threshold_segmentation(make_prediction(), 0.5)
-        assert seg.contact_regions() == set()
+        assert np.array_equal(seg.states, [0, 0, 0, 0, 0, 0])
 
     def test_above_threshold(self):
         seg = threshold_segmentation(make_prediction(seg=[0.7, 0.2, 0, 0, 0, 0]), 0.5)
-        assert seg.contact_regions() == {0}
+        assert np.array_equal(seg.states, [C, 0, 0, 0, 0, 0])
 
     def test_boundary_is_inclusive(self):
         seg = threshold_segmentation(make_prediction(seg=[0.5, 0, 0, 0, 0, 0]), 0.5)
-        assert seg.contact_regions() == {0}
+        assert np.array_equal(seg.states, [C, 0, 0, 0, 0, 0])
 
 
 class TestFilterSignature:

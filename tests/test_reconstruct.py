@@ -151,29 +151,28 @@ class TestLossCollision:
     def test_separated_spheres_zero(self):
         centers = np.array([[0.0, 0, 0], [5.0, 0, 0]])
         rmap = RegionMap(2, np.array([0, 1]))
-        proxies = CollisionProxySet(np.array([0.1, 0.1]), np.zeros((2, 3)), set())
+        proxies = CollisionProxySet(np.array([0.1, 0.1]), set())
         value, grad = loss_collision(centers, rmap, proxies)
         assert value == 0.0 and np.all(grad == 0.0)
 
     def test_penetration_depth_squared(self):
         centers = np.array([[0.0, 0, 0], [0.08, 0, 0]])
         rmap = RegionMap(2, np.array([0, 1]))
-        proxies = CollisionProxySet(np.array([0.05, 0.05]), np.zeros((2, 3)), set())
+        proxies = CollisionProxySet(np.array([0.05, 0.05]), set())
         value, _ = loss_collision(centers, rmap, proxies)
         assert np.isclose(value, 4e-4)
 
     def test_excluded_pair_ignored(self):
         centers = np.array([[0.0, 0, 0], [0.08, 0, 0]])
         rmap = RegionMap(2, np.array([0, 1]))
-        proxies = CollisionProxySet(np.array([0.05, 0.05]), np.zeros((2, 3)),
-                                    {(0, 1)})
+        proxies = CollisionProxySet(np.array([0.05, 0.05]), {(0, 1)})
         value, _ = loss_collision(centers, rmap, proxies)
         assert value == 0.0
 
     def test_contact_pair_in_signature_ignored(self):
         centers = np.array([[0.0, 0, 0], [0.08, 0, 0]])
         rmap = RegionMap(2, np.array([0, 1]))
-        proxies = CollisionProxySet(np.array([0.05, 0.05]), np.zeros((2, 3)), set())
+        proxies = CollisionProxySet(np.array([0.05, 0.05]), set())
         value, _ = loss_collision(centers, rmap, proxies,
                                   sig(2, contact=[(0, 1)]))
         assert value == 0.0
@@ -186,7 +185,7 @@ class TestLossCollision:
         rmap = RegionMap(n_regions, f2r)
         radii = rng.uniform(0.02, 0.1, n_regions)
         excluded = {(0, 1), (2, 4)}
-        proxies = CollisionProxySet(radii, np.zeros((n_regions, 3)), excluded)
+        proxies = CollisionProxySet(radii, excluded)
         value, _ = loss_collision(centers, rmap, proxies)
         expected = 0.0
         cents = np.array([centers[f2r == r].mean(axis=0) for r in range(n_regions)])
@@ -205,13 +204,26 @@ class TestLossCollision:
         f2r = np.repeat(np.arange(4), 3)
         centers = rng.normal(0, 0.05, (12, 3))
         rmap = RegionMap(4, f2r)
-        proxies = CollisionProxySet(rng.uniform(0.03, 0.08, 4),
-                                    np.zeros((4, 3)), set())
+        proxies = CollisionProxySet(rng.uniform(0.03, 0.08, 4), set())
         value, grad = loss_collision(centers, rmap, proxies)
         assert value > 0  # dense cluster collides
         num = fd_gradient(lambda x: loss_collision(x, rmap, proxies)[0],
                           centers, step=1e-7)
         assert rel_error(grad, num) < 1e-4
+
+    @pytest.mark.parametrize("pair, message", [
+        ((0, 5), r"^pair \(0, 5\) out of range for 4$"),
+        ((-1, 2), r"^pair \(-1, 2\) out of range for 4$"),
+        ((1, 1), r"^pair \(1, 1\) is on the diagonal$")])
+    def test_bad_excluded_pair_rejected_at_construction(self, pair, message):
+        with pytest.raises(ParameterError, match=message):
+            CollisionProxySet(np.full(4, 0.1), {pair})
+
+    def test_signature_of_another_granularity_rejected(self):
+        rmap = RegionMap(4, np.arange(8) % 4)
+        proxies = CollisionProxySet(np.full(4, 0.1), set())
+        with pytest.raises(ParameterError, match="granularities differ"):
+            loss_collision(np.zeros((8, 3)), rmap, proxies, sig(3, contact=[(0, 2)]))
 
     def test_fit_excludes_rest_penetrations(self):
         rng = np.random.default_rng(11)
@@ -565,6 +577,16 @@ class TestOptimize:
                 model=problem.model, region_map=problem.region_map,
                 camera=problem.camera, keypoints=keypoints, keypoint_joints=joints,
                 signature=problem.signature, initial_params=problem.initial_params)
+
+    def test_proxies_of_another_granularity_rejected_at_construction(self):
+        problem = _toy_problem(np.random.default_rng(22))
+        with pytest.raises(ParameterError, match=r"^proxies must hold one radius per region$"):
+            ReconstructionProblem(
+                model=problem.model, region_map=problem.region_map,
+                camera=problem.camera, keypoints=problem.keypoints,
+                keypoint_joints=problem.keypoint_joints,
+                signature=problem.signature, initial_params=problem.initial_params,
+                proxies=CollisionProxySet(np.full(3, 0.1), set()))
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ParameterError):
