@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import (ContactSegmentation, ContactSignature, ContactState,
-                      iou_segmentation, iou_signature,
+from .contact import (_CONTACT, _MASKED, ContactSegmentation, ContactSignature,
+                      ContactState, _key, _pair_states, iou_segmentation,
                       segmentation_from_signature)
 from .errors import GranularityError, ParameterError, check_settings
 
@@ -130,21 +130,51 @@ def filter_signature(pred, cfg):
     A region that survives tau_s but has no landmark loses all its pairs
     (with a warning, once per region, in the order of the sorted pairs).
     """
-    seg_ok = pred.segmentation_probs >= cfg.tau_s
-    # the probability rule first: it leaves few pairs for the others
-    pairs = pred.pairs[np.flatnonzero(pred.pair_probs >= cfg.tau_c)]
-    pairs = pairs[seg_ok[pairs].all(axis=1)]
+    pairs, passed = _passing_pairs(pred, cfg.tau_s, [(cfg.tau_c, cfg.tau_dist)])
+    return ContactSignature._of_contact_rows(pred.granularity, pairs[passed[0]])
+
+
+def _passing_pairs(pred, tau_s, thresholds):
+    """The four filter rules for one tau_s and G (tau_c, tau_dist) points.
+
+    Returns the (M, 2) pairs that pass the smallest tau_c, the segmentation
+    rule and the landmark rule, and the (G, M) mask of those that also pass
+    the probability and distance rules of each point. Warns once per region that survives tau_s but has no
+    landmark and is in a pair at or above the smallest tau_c, in the order of
+    the sorted pairs: the warnings of the loosest point, which holds every
+    other point's.
+    """
+    thresholds = np.array(thresholds, dtype=float).reshape(-1, 2)
+    # the loosest probability rule first: it leaves few pairs for the others
+    kept = np.flatnonzero(pred.pair_probs >= thresholds[:, 0].min())
+    pairs, probs = pred.pairs[kept], pred.pair_probs[kept]
+    kept = (pred.segmentation_probs >= tau_s)[pairs].all(axis=1)
+    pairs, probs = pairs[kept], probs[kept]
     has_landmark = np.isfinite(pred.landmarks).all(axis=1)[pairs]
     # pairs[~has_landmark] is row-major: r1 before r2, pair by pair
     for r in dict.fromkeys(pairs[~has_landmark].tolist()):
-        warnings.warn(f"region {r} has no landmark; dropping its pairs", stacklevel=2)
-    pairs = pairs[has_landmark.all(axis=1)]
+        warnings.warn(f"region {r} has no landmark; dropping its pairs", stacklevel=3)
+    kept = has_landmark.all(axis=1)
+    pairs, probs = pairs[kept], probs[kept]
     d = pred.landmarks[pairs[:, 0]] - pred.landmarks[pairs[:, 1]]
     # a (1, 2) @ (2, 1) product per pair is the BLAS dot that np.linalg.norm
     # takes, so the distance equals norm(lm1 - lm2) to the bit;
     # sqrt(d0*d0 + d1*d1), einsum and norm(axis=1) round differently
     dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    return ContactSignature._of_contact_rows(pred.granularity, pairs[dist <= cfg.tau_dist])
+    return pairs, (probs >= thresholds[:, :1]) & (dist <= thresholds[:, 1:])
+
+
+def _signature_ious(pred, truth, tau_s, configs):
+    """[iou_signature(filter_signature(pred, cfg), truth) for cfg in configs],
+    every cfg at tau_s, with the rules applied once for all of them."""
+    pairs, passed = _passing_pairs(pred, tau_s, [(cfg.tau_c, cfg.tau_dist) for cfg in configs])
+    states = _pair_states(truth)[2]
+    at_pairs = states[_key(pairs[:, 0], pairs[:, 1], truth.granularity)]
+    npred = np.count_nonzero(passed & (at_pairs != _MASKED), axis=1)
+    inter = np.count_nonzero(passed & (at_pairs == _CONTACT), axis=1)
+    union = npred + np.count_nonzero(states == _CONTACT) - inter
+    # the division of contact._iou: Python ints, 1.0 on an empty union
+    return [i / u if u else 1.0 for i, u in zip(inter.tolist(), union.tolist())]
 
 
 def sweep_thresholds(predictions, ground_truths, tau_s_grid, tau_c_grid,
@@ -154,7 +184,13 @@ def sweep_thresholds(predictions, ground_truths, tau_s_grid, tau_c_grid,
     tau_s is chosen first by mean segmentation IoU against the ground-truth
     segmentations (derived from the signatures); (tau_c, tau_dist) are then
     chosen jointly by mean signature IoU with tau_s fixed. Ties resolve to
-    the smallest thresholds (grid scanned in ascending order).
+    the smallest thresholds (grid scanned in ascending order). An empty
+    grid is a ParameterError.
+
+    With tau_s fixed, each prediction takes one pass over the whole
+    (tau_c, tau_dist) grid, with the IoUs and means filter_signature and
+    iou_signature give to the bit. Each prediction warns about its regions
+    without a landmark once, as filter_signature does at the smallest tau_c.
     """
     predictions = list(predictions)
     ground_truths = list(ground_truths)
@@ -163,26 +199,28 @@ def sweep_thresholds(predictions, ground_truths, tau_s_grid, tau_c_grid,
     for p, g in zip(predictions, ground_truths):
         if p.granularity != g.granularity:
             raise GranularityError("prediction/ground-truth granularities differ")
+    grids = [sorted(grid) for grid in (tau_s_grid, tau_c_grid, tau_dist_grid)]
+    if not all(grids):
+        raise ParameterError("every threshold grid needs at least one value")
     gt_segs = [segmentation_from_signature(g) for g in ground_truths]
 
     best_s, best_s_iou = None, -1.0
-    for tau_s in sorted(tau_s_grid):
+    for tau_s in grids[0]:
         ious = [iou_segmentation(threshold_segmentation(p, tau_s), gs)
                 for p, gs in zip(predictions, gt_segs)]
         mean = float(np.mean(ious))
         if mean > best_s_iou:
             best_s, best_s_iou = float(tau_s), mean
 
+    configs = [FilterConfig(tau_s=best_s, tau_c=float(tau_c), tau_dist=float(tau_dist))
+               for tau_c in grids[1] for tau_dist in grids[2]]
+    per_prediction = [_signature_ious(p, g, best_s, configs)
+                      for p, g in zip(predictions, ground_truths)]
     best_cd, best_cd_iou = None, -1.0
-    for tau_c in sorted(tau_c_grid):
-        for tau_dist in sorted(tau_dist_grid):
-            cfg = FilterConfig(tau_s=best_s, tau_c=float(tau_c),
-                               tau_dist=float(tau_dist))
-            ious = [iou_signature(filter_signature(p, cfg), g)
-                    for p, g in zip(predictions, ground_truths)]
-            mean = float(np.mean(ious))
-            if mean > best_cd_iou:
-                best_cd, best_cd_iou = (float(tau_c), float(tau_dist)), mean
+    for cfg, ious in zip(configs, zip(*per_prediction)):
+        mean = float(np.mean(ious))
+        if mean > best_cd_iou:
+            best_cd, best_cd_iou = (cfg.tau_c, cfg.tau_dist), mean
 
     cfg = FilterConfig(tau_s=best_s, tau_c=best_cd[0], tau_dist=best_cd[1])
     return cfg, {"segmentation_iou": best_s_iou, "signature_iou": best_cd_iou}

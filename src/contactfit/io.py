@@ -7,7 +7,7 @@ byte-identical files.
 Each JSON loader declares its fields once, as `_Field` data that `_read`
 reads, a list of row objects column by column: one pass takes a column's
 entry types, and `errors.check_number` runs per entry only when a type is not
-allowed. Checked per entry, a prediction's thousands of rows would cost more
+allowed. Checked per entry, a prediction's thousands of pairs would cost more
 than its JSON parse; a bad entry still gets that check's message and field.
 """
 
@@ -374,26 +374,24 @@ def load_manifest(f, path):
 # -- raw predictions and filter config ----------------------------------
 
 def save_prediction(pred, path):
-    probs = [{"r1": r1, "r2": r2, "p": p}
-             for (r1, r2), p in zip(pred.pairs.tolist(), pred.pair_probs.tolist())]
     landmarks = [None if not np.isfinite(lm).all() else [float(lm[0]), float(lm[1])]
                  for lm in pred.landmarks]
     _dump({"granularity": pred.granularity,
-           "signature_probs": probs,
+           "pairs": pred.pairs.tolist(), "p": pred.pair_probs.tolist(),
            "segmentation_probs": pred.segmentation_probs.tolist(),
            "landmarks": landmarks}, path)
 
 
 @_decoder("prediction", _Field({
     "granularity": _Field(int),
-    "signature_probs": _Field({"r1": _Field(int), "r2": _Field(int),
-                               "p": _Field(float, finite=True)}, (None,)),
+    "pairs": _Field(int, (None, 2)),
+    "p": _Field(float, (None,), True),
     "segmentation_probs": _Field(float, ("granularity",), True),
     "landmarks": _Field(float, ("granularity", 2), null_rows=True)}))
 def load_prediction(f, path):
-    probs = f["signature_probs"]
-    return RawPrediction.from_arrays(f["granularity"], np.stack([probs["r1"], probs["r2"]], 1),
-                                     probs["p"], f["segmentation_probs"], f["landmarks"])
+    """A RawPrediction from the `pairs` (M, 2) and `p` (M,) columns."""
+    return RawPrediction.from_arrays(f["granularity"], f["pairs"], f["p"],
+                                     f["segmentation_probs"], f["landmarks"])
 
 
 def save_filter_config(cfg, path):

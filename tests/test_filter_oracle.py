@@ -231,6 +231,68 @@ def test_sweep_matches_the_loop():
     assert 0.0 < want[1]["signature_iou"] < 1.0
 
 
+def _distinct(caught):
+    """The warning messages, each once, in the order they first came."""
+    return list(dict.fromkeys(str(w.message) for w in caught))
+
+
+@pytest.mark.parametrize("seed, n", LARGE[:5] + SMALL)
+def test_sweep_warns_as_the_loop(seed, n):
+    """The sweep warns about each region the loop warns about at any grid
+    point, in the order the loop first does, and about no other."""
+    cases = [_random_case(1000 * seed + i, n) for i in range(3)]
+    preds = [RawPrediction(n, items, seg, lms) for items, seg, lms, _ in cases]
+    oracles = [OraclePrediction(n, items, seg, lms) for items, seg, lms, _ in cases]
+    truths = [truth for *_, truth in cases]
+    grids = ([0.7, TAU_S], [0.6, TAU_C], [0.3, 0.1])
+    got, got_warnings = _recorded(sweep_thresholds, preds, truths, *grids)
+    want, want_warnings = _recorded(oracle_sweep_thresholds, oracles, truths, *grids)
+    assert got == want
+    assert _distinct(got_warnings) == _distinct(want_warnings)
+
+
+def test_sweep_matches_the_loop_on_predictions_with_no_pair_left():
+    """Predictions whose pairs all fail the segmentation rule (every region
+    below the grid's tau_s) or the landmark rule (every landmark NaN), one of
+    them against a truth with no contact pair, so its union is empty."""
+    cases = [list(_random_case(200 + seed, n)) for seed, n in enumerate((12, 10, 12, 8, 12))]
+    cases[1][1] = np.zeros(10)
+    cases[1][3] = ContactSignature(10)
+    cases[3][2] = np.full((8, 2), np.nan)
+    preds = [RawPrediction(t.granularity, items, seg, lms) for items, seg, lms, t in cases]
+    oracles = [OraclePrediction(t.granularity, items, seg, lms)
+               for items, seg, lms, t in cases]
+    truths = [truth for *_, truth in cases]
+    grids = ([TAU_S, 0.7], [TAU_C, 0.6], [0.05, 0.1, 0.3])
+    got, got_warnings = _recorded(sweep_thresholds, preds, truths, *grids)
+    want, want_warnings = _recorded(oracle_sweep_thresholds, oracles, truths, *grids)
+    assert got == want
+    assert 0.0 < want[1]["signature_iou"] < 1.0
+    assert _distinct(got_warnings) == _distinct(want_warnings)
+    assert got_warnings
+    loosest = FilterConfig(min(grids[0]), min(grids[1]), max(grids[2]))
+    for i in (1, 3):
+        assert _recorded(filter_signature, preds[i], loosest)[0] == ContactSignature(
+            preds[i].granularity)
+
+
+@pytest.mark.parametrize("tau_c_grid, tau_dist_grid", [
+    ([0.5, 1.5], [0.1]),
+    ([0.5], [0.1, -0.1]),
+    ([1.5, 0.5], [0.2, 0.0]),
+    ([0.5], [float("nan")]),
+])
+def test_sweep_rejects_the_first_bad_grid_point_the_loop_reaches(tau_c_grid, tau_dist_grid):
+    items, seg, landmarks, truth = _random_case(0, 8)
+    grids = ([TAU_S], tau_c_grid, tau_dist_grid)
+    with pytest.raises(ParameterError) as want:
+        _recorded(oracle_sweep_thresholds, [OraclePrediction(8, items, seg, landmarks)],
+                  [truth], *grids)
+    with pytest.raises(ParameterError) as got:
+        sweep_thresholds([RawPrediction(8, items, seg, landmarks)], [truth], *grids)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("items", [
     [((0, 1), 0.5), ((2, 2), 0.5)],
     [((0, 1), 1.5), ((2, 2), 0.5)],

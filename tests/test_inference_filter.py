@@ -209,6 +209,14 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep_thresholds([], [], [0.5], [0.5], [0.1])
 
+    @pytest.mark.parametrize("grids", [([], [0.5], [0.1]), ([0.5], [], [0.1]),
+                                       ([0.5], [0.5], [])])
+    def test_empty_grid_rejected(self, grids):
+        pred = RawPrediction(4, {(0, 1): 0.9}, [0.9, 0.9, 0.0, 0.0], np.full((4, 2), 0.5))
+        gt = ContactSignature.from_sets(4, contact=[(0, 1)])
+        with pytest.raises(ParameterError, match="every threshold grid needs at least one"):
+            sweep_thresholds([pred], [gt], *grids)
+
 
 class TestFilterImprovesIoU:
     def test_spurious_pairs_removed_improves_iou(self):

@@ -222,7 +222,7 @@ _CAMERA = {"fx": 500, "fy": 500, "cx": 0, "cy": 0, "translation": [0, 0, 2],
            "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 _ANNOTATION = {"granularity": 3, "pairs": [{"r1": 0, "r2": 1, "state": "contact"}],
                "support": [{"r": 0, "x": 0.5, "y": 0.5}]}
-_PREDICTION = {"granularity": 2, "signature_probs": [{"r1": 0, "r2": 1, "p": 0.5}],
+_PREDICTION = {"granularity": 2, "pairs": [[0, 1]], "p": [0.5],
                "segmentation_probs": [0.5, 0.5], "landmarks": [[0.5, 0.5], None]}
 _FILTER = {"tau_s": 0.5, "tau_c": 0.5, "tau_dist": 0.1}
 _RECORD = {"id": "a", "class": "standing", "P": 1.0, "T": 1.0, "V": 1.0, "C": None}
@@ -261,8 +261,8 @@ _MALFORMED = {
         "non-object row": {**_ANNOTATION, "pairs": [5]},
         "wrong arity": {**_ANNOTATION, "support": [{"r": 0, "x": 0.5}]}}),
     "load_prediction": (_PREDICTION, {
-        "bad cast": {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1, "p": "a"}]},
-        "non-object row": {**_PREDICTION, "signature_probs": [5]},
+        "bad cast": {**_PREDICTION, "p": ["a"]},
+        "non-object row": {**_PREDICTION, "pairs": [5]},
         "wrong arity": {**_PREDICTION, "landmarks": [[0.5], None]}}),
     "load_filter_config": (_FILTER, {
         "bad cast": {**_FILTER, "tau_s": "a"},
@@ -399,11 +399,10 @@ def test_every_declared_field_rejects_a_mistyped_entry(tmp_path, loader, keys, d
 
 
 @pytest.mark.parametrize("name, content, field", [
-    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1.9, "p": 0.5}]}, "r2"),
-    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": False, "r2": 1, "p": 0.5}]},
-     "r1"),
-    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1, "p": "0.9"}]}, "p"),
-    ("pred.json", {**_PREDICTION, "signature_probs": [{"r1": 0, "r2": 1, "p": True}]}, "p"),
+    ("pred.json", {**_PREDICTION, "pairs": [[0, 1.9]]}, "pairs"),
+    ("pred.json", {**_PREDICTION, "pairs": [[False, 1]]}, "pairs"),
+    ("pred.json", {**_PREDICTION, "p": ["0.9"]}, "p"),
+    ("pred.json", {**_PREDICTION, "p": [True]}, "p"),
     ("pred.json", {**_PREDICTION, "landmarks": [["1.5", True], None]}, "landmarks"),
     ("manifest.json", [{"prediction": 3, "ground_truth": "g.json"}], "prediction"),
     ("bundle.json", {**_BUNDLE, "heatmaps": [[[True]], [[False]]]}, "heatmaps"),
@@ -834,18 +833,15 @@ def _reconstruct_args(bundle, cfg, out):
 
 
 class TestPredictionArrays:
-    # the bytes io.save_prediction wrote while a prediction held a dict and
-    # sorted it on saving: writing from the sorted arrays must not move them
+    # the bytes io.save_prediction writes: the pair and probability columns
+    # in sorted pair order, whatever order the pairs were given in
     PINNED = (
         '{\n "granularity": 4,\n "landmarks": [\n  [\n   0.1,\n   0.2\n  ],\n'
         '  null,\n  null,\n  [\n   1.0,\n   0.0\n  ]\n ],\n'
-        ' "segmentation_probs": [\n  0.5,\n  0.0,\n  1.0,\n  0.75\n ],\n'
-        ' "signature_probs": [\n'
-        '  {\n   "p": 0.1,\n   "r1": 0,\n   "r2": 1\n  },\n'
-        '  {\n   "p": 0.5,\n   "r1": 0,\n   "r2": 2\n  },\n'
-        '  {\n   "p": 0.0,\n   "r1": 0,\n   "r2": 3\n  },\n'
-        '  {\n   "p": 0.25,\n   "r1": 1,\n   "r2": 3\n  },\n'
-        '  {\n   "p": 1.0,\n   "r1": 2,\n   "r2": 3\n  }\n ]\n}\n')
+        ' "p": [\n  0.1,\n  0.5,\n  0.0,\n  0.25,\n  1.0\n ],\n'
+        ' "pairs": [\n  [\n   0,\n   1\n  ],\n  [\n   0,\n   2\n  ],\n'
+        '  [\n   0,\n   3\n  ],\n  [\n   1,\n   3\n  ],\n  [\n   2,\n   3\n  ]\n ],\n'
+        ' "segmentation_probs": [\n  0.5,\n  0.0,\n  1.0,\n  0.75\n ]\n}\n')
 
     def test_save_prediction_bytes_are_pinned(self, tmp_path):
         pred = RawPrediction(4, [((3, 1), 0.25), ((2, 0), 0.5), ((1, 0), 0.1),
@@ -859,31 +855,50 @@ class TestPredictionArrays:
         assert loaded.pairs.tolist() == pred.pairs.tolist()
         assert loaded.pair_probs.tolist() == pred.pair_probs.tolist()
 
-    @pytest.mark.parametrize("rows", [
-        [{"r1": 0, "r2": 1, "p": 0.5}, {"r1": 0, "r2": 1, "p": 0.5}],
-        [{"r1": 1, "r2": 0, "p": 0.5}, {"r1": 0, "r2": 1, "p": 0.25}],
+    @pytest.mark.parametrize("pairs, probs", [
+        ([[0, 1], [0, 1]], [0.5, 0.5]),
+        ([[1, 0], [0, 1]], [0.5, 0.25]),
     ])
-    def test_load_prediction_rejects_a_pair_given_twice(self, tmp_path, rows):
-        path = _write(tmp_path / "pred.json", {**_PREDICTION, "signature_probs": rows})
+    def test_load_prediction_rejects_a_pair_given_twice(self, tmp_path, pairs, probs):
+        path = _write(tmp_path / "pred.json", {**_PREDICTION, "pairs": pairs, "p": probs})
         with pytest.raises(CodecError, match=r"pair \(0, 1\) given twice") as err:
             io.load_prediction(path)
         assert err.value.path == path and str(path) in str(err.value)
 
     @pytest.mark.parametrize("r1", ["1e400", str(2 ** 70)])
     def test_load_prediction_rejects_an_index_beyond_int64(self, tmp_path, r1):
-        row = '{"r1": %s, "r2": 1, "p": 0.5}' % r1
         path = tmp_path / "pred.json"
-        path.write_text(json.dumps(_PREDICTION).replace('{"r1": 0, "r2": 1, "p": 0.5}', row))
+        path.write_text(json.dumps(_PREDICTION).replace('[[0, 1]]', '[[%s, 1]]' % r1))
         with pytest.raises(CodecError) as err:
             io.load_prediction(path)
         assert err.value.path == path
 
     def test_load_prediction_names_a_missing_field(self, tmp_path):
         path = _write(tmp_path / "pred.json",
-                      {**_PREDICTION, "signature_probs": [{"r1": 0, "p": 0.5}]})
+                      {k: v for k, v in _PREDICTION.items() if k != "p"})
         with pytest.raises(CodecError) as err:
             io.load_prediction(path)
-        assert err.value.field == "r2"
+        assert err.value.field == "p"
+
+    def test_load_prediction_rejects_the_row_format(self, tmp_path, capsys):
+        old = {k: v for k, v in _PREDICTION.items() if k not in ("pairs", "p")}
+        path = _write(tmp_path / "pred.json",
+                      {**old, "signature_probs": [{"r1": 0, "r2": 1, "p": 0.5}]})
+        with pytest.raises(CodecError) as err:
+            io.load_prediction(path)
+        assert err.value.path == path and err.value.field == "signature_probs"
+        assert cli_dispatch(["filter", "--pred", str(path),
+                             "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: field 'signature_probs': unknown key")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_load_prediction_needs_one_probability_per_pair(self, tmp_path):
+        path = _write(tmp_path / "pred.json", {**_PREDICTION, "p": [0.5, 0.5]})
+        with pytest.raises(CodecError, match="need one probability per pair") as err:
+            io.load_prediction(path)
+        assert err.value.path == path
 
     def test_filter_counts_pairs_from_the_arrays(self, tmp_path, capsys):
         pred = RawPrediction(4, {(1, 0): 0.9, (3, 2): 0.2, (0, 2): 0.1},
