@@ -6,7 +6,11 @@ of the `evaluate_breakdown` row and `evaluate_gradient` at the start point
 (which pin the arithmetic of one evaluation, such as the summation order of
 the nearest-neighbour scan, even where no step of the fit moves); for
 the threshold sweep, the chosen thresholds and IoUs in hex and the filtered
-signatures' contact pairs. The fits are the four scenarios at seed 7 with
+signatures' contact pairs; for the synthetic suite itself, the SHA-256 of
+the body arrays, the fine region map and each coarsen map, the part and
+anchor region ids, and per scenario at seed 7 its class, the GT and start
+parameters, the keypoints and their joints and the image support points.
+The fits are the four scenarios at seed 7 with
 region map and signature coarsened 75 -> 9 and a 60-step cap (as the
 benchmark's fit-coarse-9 builds them), and the hand-chin scenario at 75
 regions with a 20-step cap. The coarse answers move with the last bit of
@@ -21,6 +25,7 @@ Regenerate from the root of the repository with:
     PYTHONPATH=src python3 tests/test_golden_answers.py
 """
 
+import hashlib
 import json
 import platform
 import warnings
@@ -30,8 +35,8 @@ import numpy as np
 import pytest
 
 from contactfit import (SCENARIO_NAMES, ContactSignature, RawPrediction,
-                        ReconstructionProblem, coarsen_region_map, coarsen_signature,
-                        filter_signature, generate_scenario, optimize,
+                        ReconstructionProblem, build_synthetic_body, coarsen_region_map,
+                        coarsen_signature, filter_signature, generate_scenario, optimize,
                         problem_options, sweep_thresholds)
 from contactfit.reconstruct import evaluate_breakdown, evaluate_gradient
 
@@ -108,6 +113,37 @@ def sweep_answer():
             "filtered": [[list(map(int, pair)) for pair in pairs] for pairs in filtered]}
 
 
+def _sha256(array):
+    """SHA-256 of an array's dtype, shape and C-order bytes."""
+    array = np.ascontiguousarray(array)
+    head = f"{array.dtype.str}{array.shape}".encode()
+    return hashlib.sha256(head + array.tobytes()).hexdigest()
+
+
+def body_answer():
+    body = build_synthetic_body()
+    model = body.model
+    arrays = {name: _sha256(getattr(model, name))
+              for name in ("template_vertices", "faces", "joint_parents", "joint_offsets",
+                           "skinning_weights", "joint_regressor")}
+    arrays["facet_to_region"] = _sha256(body.region_map.facet_to_region)
+    for (fine, coarse), cmap in body.coarsen_maps.items():
+        arrays[f"{fine}->{coarse}"] = _sha256(cmap.mapping)
+    return {"arrays": arrays,
+            "part_regions": {p: list(map(int, ids)) for p, ids in body.part_regions.items()},
+            "named_regions": {n: int(r) for n, r in body.named_regions.items()}}
+
+
+def scenario_answer(name):
+    bundle = generate_scenario(name, seed=SEED)
+    return {"class": bundle.scenario_class,
+            "gt_params": _hex(bundle.gt_params.to_vector()),
+            "initial_params": _hex(bundle.initial_params.to_vector()),
+            "keypoints": _hex(bundle.keypoints),
+            "keypoint_joints": list(map(int, bundle.keypoint_joints)),
+            "support": {str(r): _hex(xy) for r, xy in bundle.support.points.items()}}
+
+
 def _machine():
     return {"numpy": np.__version__, "machine": platform.machine()}
 
@@ -135,14 +171,26 @@ def test_sweep_answer_is_pinned(golden):
     assert sweep_answer() == golden["sweep"], _where(golden)
 
 
+def test_body_is_pinned(golden):
+    assert body_answer() == golden["body"], _where(golden)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scenario_is_pinned(golden, name):
+    assert scenario_answer(name) == golden["scenarios"][name], _where(golden)
+
+
 def test_golden_file_covers_every_case(golden):
     assert sorted(golden["fits"]) == sorted(f"{lv}/{n}" for lv, n in _fit_cases())
+    assert list(golden["scenarios"]) == list(SCENARIO_NAMES)
 
 
 if __name__ == "__main__":
     answers = {"machine": _machine(),
                "fits": {f"{lv}/{n}": fit_answer(lv, n) for lv, n in _fit_cases()},
-               "sweep": sweep_answer()}
+               "sweep": sweep_answer(),
+               "body": body_answer(),
+               "scenarios": {name: scenario_answer(name) for name in SCENARIO_NAMES}}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(answers, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
