@@ -4,11 +4,13 @@ All positions are meters, y-up. A body model is immutable after
 construction; posing is a pure function of (model, params).
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError, ProjectionError
+from .errors import GeometryError, ParameterError, ProjectionError, check_number
 from .rotations import rodrigues_batch, rodrigues_jacobian, rodrigues_jacobian_batch
 
 _WEIGHT_TOL = 1e-6
@@ -227,12 +229,12 @@ def joint_transforms(model, params):
 
 
 def scatter_rows(rows, ids, num_rows):
-    """Sum the rows (N, 3) into (num_rows, 3) by row index ids (N,), added
+    """Sum the rows (N, C) into (num_rows, C) by row index ids (N,), added
     in the given order as np.add.at adds them, so the sums agree with it
     to the bit."""
     rows = np.asarray(rows, dtype=float)
-    out = np.empty((num_rows, 3))
-    for k in range(3):
+    out = np.empty((num_rows, rows.shape[1]))
+    for k in range(rows.shape[1]):
         out[:, k] = np.bincount(ids, rows[:, k], minlength=num_rows)
     return out
 
@@ -511,9 +513,14 @@ class Camera:
     translation: np.ndarray  # (3,)
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ParameterError(f"camera {name} must be finite")
+            object.__setattr__(self, name, check_number(f"camera {name}", value, float))
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-        for name in ("fx", "fy", "cx", "cy", "rotation", "translation"):
+        for name in ("rotation", "translation"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ParameterError(f"camera {name} must be finite")
         if self.fx <= 0 or self.fy <= 0:

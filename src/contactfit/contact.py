@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import GranularityError, ParameterError
+from .errors import GranularityError, ParameterError, check_number
 
 
 class ContactState(IntEnum):
@@ -55,9 +55,9 @@ def _pair_states(sig):
 
 def _no_contact(granularity):
     """(n, an all-no-contact state vector) for `granularity` regions."""
-    if granularity < 2:
+    n = check_number("granularity", granularity, int)
+    if n < 2:
         raise ParameterError("signature needs at least 2 regions")
-    n = int(granularity)
     return n, np.zeros(n * (n - 1) // 2, dtype=np.int8)
 
 
@@ -150,12 +150,13 @@ class ContactSegmentation:
     """Tri-state contact flag per region."""
 
     def __init__(self, granularity, states):
+        granularity = check_number("granularity", granularity, int)
         states = np.asarray(states, dtype=int)
         if states.shape != (granularity,):
             raise ParameterError("segmentation length must equal granularity")
         if not ((states >= 0) & (states <= 2)).all():
             raise ParameterError("segmentation states must be tri-state")
-        self.granularity = int(granularity)
+        self.granularity = granularity
         self.states = states
 
     def __eq__(self, other):
@@ -169,7 +170,7 @@ class ImageSupport:
     """Per-region 2D contact location in normalized [0,1]^2 image coordinates."""
 
     def __init__(self, granularity, points=None):
-        self.granularity = int(granularity)
+        self.granularity = check_number("granularity", granularity, int)
         self.points = {}
         for r, xy in (points or {}).items():
             r = int(r)

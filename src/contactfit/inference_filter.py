@@ -13,7 +13,7 @@ import numpy as np
 from .contact import (_CONTACT, _MASKED, ContactSegmentation, ContactSignature,
                       ContactState, _key, _pair_states, iou_segmentation,
                       segmentation_from_signature)
-from .errors import GranularityError, ParameterError, check_settings
+from .errors import GranularityError, ParameterError, check_number, check_settings
 
 
 class RawPrediction:
@@ -50,7 +50,7 @@ class RawPrediction:
         return pred
 
     def _set(self, granularity, pairs, probs, segmentation_probs, landmarks):
-        n = self.granularity = int(granularity)
+        n = self.granularity = check_number("granularity", granularity, int)
         seg = np.asarray(segmentation_probs, dtype=float)
         lms = np.asarray(landmarks, dtype=float)
         if seg.shape != (n,):

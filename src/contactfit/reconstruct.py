@@ -267,6 +267,7 @@ class ReconstructionProblem:
             raise ParameterError("signature and region map granularities differ")
         if self.selection_mode not in SELECTION_MODES:
             raise ParameterError(f"unknown selection mode {self.selection_mode!r}")
+        self.selection_k = check_number("selection_k", self.selection_k, int)
         if self.selection_mode == "subset" and self.selection_k < 1:
             raise ParameterError("subset step selection_k must be >= 1")
         if self.proxies is None:

@@ -7,7 +7,9 @@ primitive emits its vertices as arrays and its faces as vertex-id grids,
 two triangles per cell, and fans for the tube caps and sphere poles; one
 array pass then winds every face outward. The default 75-region partition
 follows anatomical parts; coarser granularities (37/17/9) are groupings of
-the fine regions.
+the fine regions. The joints, the body parts and the scenarios are each
+one table, and the skeleton, the region hierarchy and each scenario's
+contact pair and start perturbation are derived from them.
 
 Scenarios pose the body into a self-contact configuration (two-bone IK plus
 a small fixed-point refinement on the contact pair's region gap, posing the
@@ -28,68 +30,64 @@ from .errors import ParameterError
 from .regions import CoarsenMap, RegionMap, region_facets
 from .rotations import axis_angle_from_matrix, rodrigues, rotation_between
 
-JOINT_NAMES = [
-    "pelvis", "spine", "chest", "neck", "head",
-    "l_shoulder", "l_elbow", "l_wrist",
-    "r_shoulder", "r_elbow", "r_wrist",
-    "l_hip", "l_knee", "l_ankle", "l_toe",
-    "r_hip", "r_knee", "r_ankle", "r_toe",
+# name, parent, absolute rest position (meters, y-up, z forward, x = subject left)
+_JOINTS = [
+    ("pelvis", None, (0.0, 0.0, 0.0)),
+    ("spine", "pelvis", (0.0, 0.15, 0.0)),
+    ("chest", "spine", (0.0, 0.35, 0.0)),
+    ("neck", "chest", (0.0, 0.50, 0.0)),
+    ("head", "neck", (0.0, 0.60, 0.0)),
+    ("l_shoulder", "chest", (0.20, 0.47, 0.0)),
+    ("l_elbow", "l_shoulder", (0.50, 0.47, 0.0)),
+    ("l_wrist", "l_elbow", (0.77, 0.47, 0.0)),
+    ("r_shoulder", "chest", (-0.20, 0.47, 0.0)),
+    ("r_elbow", "r_shoulder", (-0.50, 0.47, 0.0)),
+    ("r_wrist", "r_elbow", (-0.77, 0.47, 0.0)),
+    ("l_hip", "pelvis", (0.10, -0.05, 0.0)),
+    ("l_knee", "l_hip", (0.10, -0.50, 0.0)),
+    ("l_ankle", "l_knee", (0.10, -0.95, 0.0)),
+    ("l_toe", "l_ankle", (0.10, -1.00, 0.12)),
+    ("r_hip", "pelvis", (-0.10, -0.05, 0.0)),
+    ("r_knee", "r_hip", (-0.10, -0.50, 0.0)),
+    ("r_ankle", "r_knee", (-0.10, -0.95, 0.0)),
+    ("r_toe", "r_ankle", (-0.10, -1.00, 0.12)),
 ]
+JOINT_NAMES = [name for name, _, _ in _JOINTS]
 JOINT_INDEX = {n: i for i, n in enumerate(JOINT_NAMES)}
+_JOINT_PARENTS = [JOINT_INDEX.get(parent, -1) for _, parent, _ in _JOINTS]
+_REST_JOINTS = np.array([position for _, _, position in _JOINTS])
+_REST_JOINTS.flags.writeable = False
+_JOINT_POSITIONS = dict(zip(JOINT_NAMES, _REST_JOINTS))  # name -> read-only row
 
-_JOINT_PARENTS = [-1, 0, 1, 2, 3,
-                  2, 5, 6,
-                  2, 8, 9,
-                  0, 11, 12, 13,
-                  0, 15, 16, 17]
+# fine regions slice each part along its natural axes
+_X, _NEG_X, _Y, _Z, _DOWN = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                              (0.0, 0.0, 1.0), (0.0, -1.0, 0.0))
 
-# absolute rest joint positions (meters, y-up, z forward, x = subject left)
-_JOINT_POSITIONS = {
-    "pelvis": (0.0, 0.0, 0.0),
-    "spine": (0.0, 0.15, 0.0),
-    "chest": (0.0, 0.35, 0.0),
-    "neck": (0.0, 0.50, 0.0),
-    "head": (0.0, 0.60, 0.0),
-    "l_shoulder": (0.20, 0.47, 0.0),
-    "l_elbow": (0.50, 0.47, 0.0),
-    "l_wrist": (0.77, 0.47, 0.0),
-    "r_shoulder": (-0.20, 0.47, 0.0),
-    "r_elbow": (-0.50, 0.47, 0.0),
-    "r_wrist": (-0.77, 0.47, 0.0),
-    "l_hip": (0.10, -0.05, 0.0),
-    "l_knee": (0.10, -0.50, 0.0),
-    "l_ankle": (0.10, -0.95, 0.0),
-    "l_toe": (0.10, -1.00, 0.12),
-    "r_hip": (-0.10, -0.05, 0.0),
-    "r_knee": (-0.10, -0.50, 0.0),
-    "r_ankle": (-0.10, -0.95, 0.0),
-    "r_toe": (-0.10, -1.00, 0.12),
-}
-
-# part name, fine-region count, 37-level group count, 17- and 9-level groups
-_PART_TABLE = [
-    ("head", 8, 4, "head", "head"),
-    ("neck", 1, 1, "neck", "head"),
-    ("chest_front", 4, 2, "chest", "torso"),
-    ("chest_back", 4, 2, "chest", "torso"),
-    ("abdomen_front", 3, 1, "abdomen", "torso"),
-    ("abdomen_back", 3, 1, "abdomen", "torso"),
-    ("pelvis_front", 2, 1, "pelvis", "torso"),
-    ("pelvis_back", 2, 1, "pelvis", "torso"),
-    ("l_shoulder", 1, 1, "l_upper_arm", "l_arm"),
-    ("l_upper_arm", 4, 2, "l_upper_arm", "l_arm"),
-    ("l_forearm", 4, 1, "l_forearm", "l_arm"),
-    ("l_hand", 3, 2, "l_hand", "l_hand"),
-    ("r_shoulder", 1, 1, "r_upper_arm", "r_arm"),
-    ("r_upper_arm", 4, 2, "r_upper_arm", "r_arm"),
-    ("r_forearm", 4, 1, "r_forearm", "r_arm"),
-    ("r_hand", 3, 2, "r_hand", "r_hand"),
-    ("l_thigh", 5, 2, "l_thigh", "l_leg"),
-    ("l_shin", 4, 2, "l_shin", "l_leg"),
-    ("l_foot", 3, 2, "l_foot", "feet"),
-    ("r_thigh", 5, 2, "r_thigh", "r_leg"),
-    ("r_shin", 4, 2, "r_shin", "r_leg"),
-    ("r_foot", 3, 2, "r_foot", "feet"),
+# part name, slicing steps (direction, chunks; each final chunk is one fine
+# region), 37-level group count, 17- and 9-level groups
+_PARTS = [
+    ("head", [(_Y, 4), (_Z, 2)], 4, "head", "head"),
+    ("neck", [], 1, "neck", "head"),
+    ("chest_front", [(_X, 4)], 2, "chest", "torso"),
+    ("chest_back", [(_X, 4)], 2, "chest", "torso"),
+    ("abdomen_front", [(_X, 3)], 1, "abdomen", "torso"),
+    ("abdomen_back", [(_X, 3)], 1, "abdomen", "torso"),
+    ("pelvis_front", [(_X, 2)], 1, "pelvis", "torso"),
+    ("pelvis_back", [(_X, 2)], 1, "pelvis", "torso"),
+    ("l_shoulder", [], 1, "l_upper_arm", "l_arm"),
+    ("l_upper_arm", [(_X, 4)], 2, "l_upper_arm", "l_arm"),
+    ("l_forearm", [(_X, 4)], 1, "l_forearm", "l_arm"),
+    ("l_hand", [(_X, 3)], 2, "l_hand", "l_hand"),
+    ("r_shoulder", [], 1, "r_upper_arm", "r_arm"),
+    ("r_upper_arm", [(_NEG_X, 4)], 2, "r_upper_arm", "r_arm"),
+    ("r_forearm", [(_NEG_X, 4)], 1, "r_forearm", "r_arm"),
+    ("r_hand", [(_NEG_X, 3)], 2, "r_hand", "r_hand"),
+    ("l_thigh", [(_DOWN, 5)], 2, "l_thigh", "l_leg"),
+    ("l_shin", [(_DOWN, 4)], 2, "l_shin", "l_leg"),
+    ("l_foot", [(_Z, 3)], 2, "l_foot", "feet"),
+    ("r_thigh", [(_DOWN, 5)], 2, "r_thigh", "r_leg"),
+    ("r_shin", [(_DOWN, 4)], 2, "r_shin", "r_leg"),
+    ("r_foot", [(_Z, 3)], 2, "r_foot", "feet"),
 ]
 
 IMAGE_SIZE = 368  # scenario camera image side, pixels
@@ -269,7 +267,7 @@ def _joint_regressor(template, rest_joints, k=8):
 def build_synthetic_body():
     """Construct the default humanoid with its region hierarchy."""
     J = JOINT_INDEX
-    pos = {k: np.asarray(v, dtype=float) for k, v in _JOINT_POSITIONS.items()}
+    pos = _JOINT_POSITIONS
 
     def rigid(joint):
         return lambda p: _one_hot(np.full(len(p), J[joint]))
@@ -303,7 +301,7 @@ def build_synthetic_body():
                     _whole("neck"), rigid("neck"))]
 
     for side in ("l", "r"):
-        sh, el, wr = pos[f"{side}_shoulder"], pos[f"{side}_elbow"], pos[f"{side}_wrist"]
+        sh, el, wr = (pos[j] for j in _arm_joint_names(side))
         out_dir = np.array([1.0 if side == "l" else -1.0, 0.0, 0.0])
         arm_axis = (el - sh) / np.linalg.norm(el - sh)
 
@@ -333,61 +331,32 @@ def build_synthetic_body():
     parts = np.concatenate([p.parts for p in pieces])
     _wind_outward(template, faces, np.vstack([p.inside for p in pieces]))
 
-    offsets = np.zeros((len(JOINT_NAMES), 3))
-    for name, i in J.items():
-        par = _JOINT_PARENTS[i]
-        offsets[i] = pos[name] - (pos[JOINT_NAMES[par]] if par >= 0 else 0.0)
+    parents = np.array(_JOINT_PARENTS)
+    offsets = _REST_JOINTS - np.where((parents >= 0)[:, None], _REST_JOINTS[parents], 0.0)
+    model = BodyModel(template, faces, parents, offsets, weights,
+                      _joint_regressor(template, _REST_JOINTS))
 
-    regressor = _joint_regressor(template, np.array([pos[n] for n in JOINT_NAMES]))
-    model = BodyModel(template, faces, np.array(_JOINT_PARENTS), offsets,
-                      weights, regressor)
-
-    # fine regions: slice each part along its natural axes
-    geom = facet_geometry(template, faces)
-    centroids = geom.centers
-    y = (0.0, 1.0, 0.0)
-    z = (0.0, 0.0, 1.0)
-    x = (1.0, 0.0, 0.0)
-    neg_x = (-1.0, 0.0, 0.0)
-    down = (0.0, -1.0, 0.0)
-    slice_specs = {
-        "head": [(y, 4), (z, 2)],
-        "neck": [],
-        "chest_front": [(x, 4)], "chest_back": [(x, 4)],
-        "abdomen_front": [(x, 3)], "abdomen_back": [(x, 3)],
-        "pelvis_front": [(x, 2)], "pelvis_back": [(x, 2)],
-        "l_shoulder": [], "r_shoulder": [],
-        "l_upper_arm": [(x, 4)], "r_upper_arm": [(neg_x, 4)],
-        "l_forearm": [(x, 4)], "r_forearm": [(neg_x, 4)],
-        "l_hand": [(x, 3)], "r_hand": [(neg_x, 3)],
-        "l_thigh": [(down, 5)], "r_thigh": [(down, 5)],
-        "l_shin": [(down, 4)], "r_shin": [(down, 4)],
-        "l_foot": [(z, 3)], "r_foot": [(z, 3)],
-    }
-
+    centroids = facet_geometry(template, faces).centers
     facet_to_region = np.full(len(faces), -1, dtype=int)
     part_regions = {}
     fine_to_37 = []
     part_of_37 = []
     next_fine = 0
-    for part, n75, n37, g17, g9 in _PART_TABLE:
-        chunks = _slice_part(np.flatnonzero(parts == part), centroids,
-                              slice_specs[part])
-        if len(chunks) != n75:
-            raise ParameterError(f"part {part}: expected {n75} chunks, got {len(chunks)}")
-        ids = list(range(next_fine, next_fine + n75))
+    for part, steps, n37, _, _ in _PARTS:
+        chunks = _slice_part(np.flatnonzero(parts == part), centroids, steps)
+        ids = list(range(next_fine, next_fine + len(chunks)))
         part_regions[part] = ids
         for rid, chunk in zip(ids, chunks):
             facet_to_region[chunk] = rid
         for group in _near_equal_split(ids, n37):
             fine_to_37 += [len(part_of_37)] * len(group)
             part_of_37.append(part)
-        next_fine += n75
+        next_fine += len(chunks)
     region_map = RegionMap(75, facet_to_region)
 
     # the 17 and 9 groups, numbered in order of first appearance
-    g17_of_part = {p: g17 for p, _, _, g17, _ in _PART_TABLE}
-    g9_of_g17 = {g17: g9 for _, _, _, g17, g9 in _PART_TABLE}
+    g17_of_part = {p: g17 for p, _, _, g17, _ in _PARTS}
+    g9_of_g17 = {g17: g9 for _, _, _, g17, g9 in _PARTS}
     g17_names = list(dict.fromkeys(g17_of_part.values()))
     g9_names = list(dict.fromkeys(g9_of_g17.values()))
     map_37_17 = [g17_names.index(g17_of_part[part]) for part in part_of_37]
@@ -471,24 +440,23 @@ class ScenarioBundle:
     config: dict                       # recommended reconstruction settings
 
 
-SCENARIO_NAMES = ("hand-chin", "hands-together", "arms-crossed", "hand-knee")
-
-_SCENARIO_CLASSES = {
-    "hand-chin": "standing",
-    "hands-together": "standing",
-    "arms-crossed": "sitting-no-chair",
-    "hand-knee": "with-chair",
+# name: class, the contact pair's two named regions, the arms perturbed in
+# the start pose, the fraction of their GT rotation the start keeps, and the
+# joints without a keypoint besides those arms' wrists. The hand-knee start
+# is relaxed further, as its keypoint-only baseline otherwise lands too close
+# to the knee already, and its elbow is hidden, as that baseline otherwise
+# all but solves the arm.
+_SCENARIOS = {
+    "hand-chin": ("standing", ("r_fingers", "chin"), ("r",), 0.55, ()),
+    "hands-together": ("standing", ("l_fingers", "r_fingers"), ("l", "r"), 0.55, ()),
+    "arms-crossed": ("sitting-no-chair", ("l_fingers", "r_forearm_mid"), ("l",), 0.55, ()),
+    "hand-knee": ("with-chair", ("r_fingers", "r_knee"), ("r",), 0.2, ("r_elbow",)),
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
-# fraction of the GT arm rotation kept in the perturbed start pose; the
-# hand-knee start is relaxed further because its keypoint-only baseline
-# otherwise lands too close to the knee already
-_INIT_ARM_SCALE = {
-    "hand-chin": 0.55,
-    "hands-together": 0.55,
-    "arms-crossed": 0.55,
-    "hand-knee": 0.2,
-}
+# the contact recipes move the hands until the contact pair's region gap is
+# within _GAP_TOL of _CONTACT_GAP meters, for at most _GAP_ROUNDS rounds
+_CONTACT_GAP, _GAP_TOL, _GAP_ROUNDS = 0.002, 3e-4, 12
 
 # reconstruction settings tuned on this synthetic suite; the keypoint term
 # lives in squared pixels (~1 px ~ 5 mm at this camera) so it is downweighted,
@@ -528,16 +496,13 @@ def _solve_arm(body, params, side, wrist_target, pole):
     Runs in the shoulder's parent frame, so torso rotations already present
     in params are respected exactly.
     """
-    pos = {k: np.asarray(v, dtype=float) for k, v in _JOINT_POSITIONS.items()}
     sh_j = JOINT_INDEX[f"{side}_shoulder"]
     G, p = joint_transforms(body.model, params)
     G_par = G[body.model.joint_parents[sh_j]]
     target_local = G_par.T @ (np.asarray(wrist_target, dtype=float) - p[sh_j])
     pole_local = G_par.T @ np.asarray(pole, dtype=float)
 
-    sh = pos[f"{side}_shoulder"]
-    el = pos[f"{side}_elbow"]
-    wr = pos[f"{side}_wrist"]
+    sh, el, wr = (_JOINT_POSITIONS[j] for j in _arm_joint_names(side))
     d1 = (el - sh) / np.linalg.norm(el - sh)
     d2 = (wr - el) / np.linalg.norm(wr - el)
     rot_sh, rot_el, _ = _two_bone_ik(np.zeros(3), d1, np.linalg.norm(el - sh),
@@ -547,8 +512,8 @@ def _solve_arm(body, params, side, wrist_target, pole):
     params.joint_rotations[JOINT_INDEX[f"{side}_elbow"]] = rot_el
 
 
-def _refine_arm_to_region(body, params, side, target_region, pole, gap=0.002,
-                          iterations=12):
+def _refine_arm_to_region(body, params, side, target_region, pole, gap=_CONTACT_GAP,
+                          iterations=_GAP_ROUNDS):
     """Adjust the wrist target until the finger region sits `gap` meters
     from the target region (closest facet centers)."""
     fingers = body.named_regions[f"{side}_fingers"]
@@ -558,7 +523,7 @@ def _refine_arm_to_region(body, params, side, target_region, pole, gap=0.002,
         centers = _pose_points(body.model, params)[1]
         d, f, t = region_gap(centers, body.region_map, fingers, target_region)
         err = d - gap
-        if abs(err) < 3e-4:
+        if abs(err) < _GAP_TOL:
             break
         direction = (centers[f] - centers[t]) / max(d, 1e-9)
         wrist_target = wrist_target - err * direction
@@ -574,23 +539,20 @@ def generate_scenario(name, seed=0, noise_px=0.0):
     model = body.model
     rng = np.random.Generator(np.random.PCG64(seed))
     gt = PoseParams.identity(model.num_joints)
-    named = body.named_regions
+    scenario_class, anchors, perturbed_arms, arm_scale, hidden = _SCENARIOS[name]
+    contact = tuple(body.named_regions[a] for a in anchors)
 
     if name == "hand-chin":
-        contact = (named["r_fingers"], named["chin"])
-        _refine_arm_to_region(body, gt, "r", named["chin"],
-                              pole=(0.0, -0.6, 1.0))
-        perturbed_arms = ["r"]
+        _refine_arm_to_region(body, gt, "r", contact[1], pole=(0.0, -0.6, 1.0))
     elif name == "hands-together":
-        contact = (named["l_fingers"], named["r_fingers"])
         meet, pole = np.array([0.0, 0.25, 0.30]), (0.0, -1.0, 0.6)
         _solve_arm(body, gt, "l", meet + [0.05, 0, 0], pole)
         _solve_arm(body, gt, "r", meet - [0.05, 0, 0], pole)
-        for _ in range(12):
+        for _ in range(_GAP_ROUNDS):
             joints, centers = _pose_points(model, gt)
             d, fl, fr = region_gap(centers, body.region_map, *contact)
-            err = d - 0.002
-            if abs(err) < 3e-4:
+            err = d - _CONTACT_GAP
+            if abs(err) < _GAP_TOL:
                 break
             shift = 0.5 * err * ((centers[fl] - centers[fr]) / max(d, 1e-9))
             target_l = _centroid(body, centers, contact[0]) - shift
@@ -600,16 +562,12 @@ def generate_scenario(name, seed=0, noise_px=0.0):
             joints, centers = _pose_points(model, gt)  # the left arm moved
             _solve_arm(body, gt, "r",
                        _wrist_from_fingers(body, joints, centers, "r", target_r), pole)
-        perturbed_arms = ["l", "r"]
     elif name == "arms-crossed":
         gt.joint_rotations[JOINT_INDEX["l_hip"]] = (-np.pi / 2, 0.0, 0.0)
         gt.joint_rotations[JOINT_INDEX["r_hip"]] = (-np.pi / 2, 0.0, 0.0)
         _solve_arm(body, gt, "r", np.array([0.14, 0.22, 0.20]),
                    pole=(0.0, -1.0, 0.3))
-        contact = (named["l_fingers"], named["r_forearm_mid"])
-        _refine_arm_to_region(body, gt, "l", named["r_forearm_mid"],
-                              pole=(0.0, -1.0, 0.5))
-        perturbed_arms = ["l"]
+        _refine_arm_to_region(body, gt, "l", contact[1], pole=(0.0, -1.0, 0.5))
     else:  # hand-knee
         for side in ("l", "r"):
             gt.joint_rotations[JOINT_INDEX[f"{side}_hip"]] = (-np.pi / 2, 0.0, 0.0)
@@ -617,10 +575,7 @@ def generate_scenario(name, seed=0, noise_px=0.0):
         # lean the torso forward so the knee is within arm's reach
         gt.joint_rotations[JOINT_INDEX["spine"]] = (0.25, 0.0, 0.0)
         gt.joint_rotations[JOINT_INDEX["chest"]] = (0.25, 0.0, 0.0)
-        contact = (named["r_fingers"], named["r_knee"])
-        _refine_arm_to_region(body, gt, "r", named["r_knee"],
-                              pole=(-0.3, -1.0, 0.4))
-        perturbed_arms = ["r"]
+        _refine_arm_to_region(body, gt, "r", contact[1], pole=(-0.3, -1.0, 0.4))
 
     lo, hi = min(contact), max(contact)
     signature = ContactSignature.from_sets(75, contact=[(lo, hi)])
@@ -628,11 +583,9 @@ def generate_scenario(name, seed=0, noise_px=0.0):
     camera = default_camera()
     gt_joints, gt_centers = _pose_points(model, gt)
     # the contacting hand has no keypoint: recovering it is the contact
-    # term's job; for hand-knee the elbow is hidden too, otherwise the
-    # keypoint-only baseline all but solves the arm
-    excluded = {JOINT_INDEX[f"{s}_wrist"] for s in perturbed_arms}
-    if name == "hand-knee":
-        excluded.add(JOINT_INDEX["r_elbow"])
+    # term's job
+    excluded = {JOINT_INDEX[j] for j in hidden}
+    excluded.update(JOINT_INDEX[f"{s}_wrist"] for s in perturbed_arms)
     keypoint_joints = np.array([j for j in range(model.num_joints)
                                 if j not in excluded])
     keypoints = project(camera, gt_joints[keypoint_joints])
@@ -648,7 +601,6 @@ def generate_scenario(name, seed=0, noise_px=0.0):
     support = ImageSupport(75, support_points)
 
     init = gt.copy()
-    arm_scale = _INIT_ARM_SCALE[name]
     for side in perturbed_arms:
         for jn in _arm_joint_names(side):
             j = JOINT_INDEX[jn]
@@ -661,7 +613,7 @@ def generate_scenario(name, seed=0, noise_px=0.0):
         + rng.normal(0.0, 0.005, 3)
 
     return ScenarioBundle(
-        name=name, scenario_class=_SCENARIO_CLASSES[name], seed=seed,
+        name=name, scenario_class=scenario_class, seed=seed,
         noise_px=noise_px, body=body, gt_params=gt, initial_params=init,
         signature=signature, support=support, camera=camera,
         keypoints=keypoints, keypoint_joints=keypoint_joints,

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .body import scatter_rows
 from .contact import ContactState, _pair_states
 from .contact_geometry import _interleaved, _row_dots, _sum_in_order
 from .errors import GranularityError, ParameterError, check_settings
@@ -116,8 +117,7 @@ def loss_separation(pred, sig, sigma_sq=DEFAULT_SIGMA_SQ_SEP):
     diff = pred.coords[r1] - pred.coords[r2]
     term = np.exp(-_row_dots(diff, diff) / (2.0 * sigma_sq))
     g = term[:, None] * (-diff / sigma_sq)
-    grad = np.zeros_like(pred.coords)
-    np.add.at(grad, _interleaved(r1, r2), _interleaved(g, -g))
+    grad = scatter_rows(_interleaved(g, -g), _interleaved(r1, r2), len(pred.coords))
     return _sum_in_order(term), grad
 
 
@@ -196,8 +196,8 @@ def signature_similarity_loss(features, gt_sig, metric="dot", pos_weight=None):
         ds_d1, ds_d2 = -2.0 * diff, 2.0 * diff
     w = np.where(y == 1.0, pos_weight, 1.0)
     dv_ds = (w * (_sigmoid(s) - y))[:, None]
-    grad = np.zeros_like(F)
-    np.add.at(grad, _interleaved(r1, r2), _interleaved(dv_ds * ds_d1, dv_ds * ds_d2))
+    grad = scatter_rows(_interleaved(dv_ds * ds_d1, dv_ds * ds_d2), _interleaved(r1, r2),
+                        len(F))
     # w * CE(sigmoid(s), y), added in pair order
     return _sum_in_order(w * (_softplus(s) - y * s)), grad
 

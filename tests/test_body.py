@@ -285,6 +285,17 @@ class TestCamera:
         with pytest.raises(ParameterError, match=f"^camera {field} must be finite$"):
             Camera(**values)
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value, message", [(np.inf, "finite$"), (-np.inf, "finite$"),
+                                                (True, "a finite number"),
+                                                ("500", "a finite number")])
+    def test_intrinsic_must_be_a_finite_number(self, field, value, message):
+        values = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.eye(3),
+                      translation=np.zeros(3))
+        values[field] = value
+        with pytest.raises(ParameterError, match=f"^camera {field} must be {message}"):
+            Camera(**values)
+
 
     @pytest.mark.parametrize("rotation", [2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
                                           np.eye(3) + 1e-5])

@@ -8,6 +8,7 @@ from contactfit.contact import (ContactSegmentation, ContactSignature,
                                 contact_stats, iou_segmentation,
                                 iou_signature, segmentation_from_signature)
 from contactfit.errors import GranularityError, ParameterError
+from contactfit.inference_filter import RawPrediction
 from contactfit.regions import CoarsenMap
 
 C = ContactState.CONTACT
@@ -261,3 +262,15 @@ class TestSupport:
         with pytest.raises(ParameterError):
             ImageSupport(5, {1: (0.5, -0.1)})
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: ContactSignature(n, []),
+    lambda n: ContactSegmentation(n, np.zeros(9)),
+    lambda n: ImageSupport(n),
+    lambda n: RawPrediction(n, {}, np.zeros(9), np.zeros((9, 2)))],
+    ids=["signature", "segmentation", "support", "prediction"])
+@pytest.mark.parametrize("granularity", [9.5, 75.9, "9", True, np.nan])
+def test_granularity_must_be_an_integer(make, granularity):
+    with pytest.raises(ParameterError, match="^granularity must be a finite integer"):
+        make(granularity)

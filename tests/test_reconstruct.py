@@ -549,7 +549,8 @@ class TestOptimize:
         with pytest.raises(ParameterError):
             ObjectiveWeights(lambda_d=-1.0)
 
-    @pytest.mark.parametrize("mode, k", [("nearest", 2), ("subset", 0)])
+    @pytest.mark.parametrize("mode, k", [("nearest", 2), ("subset", 0), ("subset", 2.5),
+                                         ("subset", True), ("subset", "2")])
     def test_invalid_selection_rejected_at_construction(self, mode, k):
         rng = np.random.default_rng(20)
         problem = _toy_problem(rng)
