@@ -1,7 +1,8 @@
 """Articulated skinned triangle mesh: forward kinematics, facet geometry, camera.
 
 All positions are meters, y-up. A body model is immutable after
-construction; posing is a pure function of (model, params).
+construction; posing is a pure function of (model, params). The cross
+products, lengths and scatters are `spatial`'s fixed-order kernels.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError, ProjectionError, check_number
 from .rotations import rodrigues_batch, rodrigues_jacobian, rodrigues_jacobian_batch
+from .spatial import _cross, _squared_length, scatter_rows
 
 _WEIGHT_TOL = 1e-6
 _DEGENERATE_AREA = 1e-12
@@ -90,10 +92,7 @@ class BodyModel:
             rest[j] = offsets[j] if p < 0 else rest[p] + offsets[j]
         object.__setattr__(self, "_rest_joints", rest)
 
-        degenerate = _degenerate_faces(v, f)
-        if degenerate.size:
-            raise GeometryError(
-                f"degenerate (zero-area) faces at load time: {degenerate[:8].tolist()}")
+        facet_geometry(v, f)  # raises GeometryError naming the degenerate faces
 
         # nonzero skinning entries, joint-major with vertices ascending:
         # joint j owns the slice _lbs_bounds[j]:_lbs_bounds[j + 1]
@@ -140,13 +139,6 @@ def _topological_order(parents):
             state[node] = 2
             order.append(node)
     return np.array(order, dtype=int)
-
-
-def _degenerate_faces(verts, faces):
-    a = verts[faces[:, 0]]
-    cross = np.cross(verts[faces[:, 1]] - a, verts[faces[:, 2]] - a)
-    area2 = np.linalg.norm(cross, axis=1)
-    return np.flatnonzero(area2 < _DEGENERATE_AREA)
 
 
 @dataclass
@@ -226,17 +218,6 @@ def joint_transforms(model, params):
     _check_dims(model, params)
     _, _, G, p = _forward_kinematics(model, params)
     return G, p
-
-
-def scatter_rows(rows, ids, num_rows):
-    """Sum the rows (N, C) into (num_rows, C) by row index ids (N,), added
-    in the given order as np.add.at adds them, so the sums agree with it
-    to the bit."""
-    rows = np.asarray(rows, dtype=float)
-    out = np.empty((num_rows, rows.shape[1]))
-    for k in range(rows.shape[1]):
-        out[:, k] = np.bincount(ids, rows[:, k], minlength=num_rows)
-    return out
 
 
 def pose_mesh(model, params):
@@ -399,20 +380,6 @@ class FacetGeometry:
     normals: np.ndarray
 
 
-def _cross(u, v):
-    """np.cross of 3-vectors stored as component rows (3, N), computed by
-    component as np.cross computes it, so it agrees to the bit."""
-    return np.stack([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
-
-
-def _norm(m):
-    """Lengths of 3-vectors stored as component rows (3, N), summed in
-    np.linalg.norm(axis=1) order."""
-    return np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
-
-
 def _face_corners(verts, faces):
     """Corners a, b, c of every face as component rows (3, F) each."""
     corners = np.take(np.ascontiguousarray(verts.T), faces.T, axis=1)  # (3, corner, F)
@@ -431,7 +398,7 @@ def facet_geometry(verts, faces):
     a, b, c = _face_corners(verts, faces)
     centers = (a + b + c) / 3.0
     cross = _cross(b - a, c - a)
-    norms = _norm(cross)
+    norms = np.sqrt(_squared_length(cross))
     bad = np.flatnonzero(norms < _DEGENERATE_AREA)
     if bad.size:
         raise GeometryError(f"degenerate faces (zero normal): {bad[:8].tolist()}")
@@ -460,7 +427,7 @@ def facet_normal_vjp(verts, faces, grad_normals):
     u = b - a
     v = c - a
     m = _cross(u, v)
-    mn = _norm(m)
+    mn = np.sqrt(_squared_length(m))
     bad = face_ids[mn < _DEGENERATE_AREA]
     if bad.size:
         raise GeometryError(f"degenerate faces in normal gradient: {bad[:8].tolist()}")

@@ -6,17 +6,18 @@ of matched facet normals (minimized at anti-parallel). Matching is the one
 brute-force scan of `spatial.nearest_neighbors`, with ties to the lowest
 facet id. Its id arrays become the matches, (N, 2) arrays of facet ids that
 the losses index with directly. Matches are frozen by the caller between
-evaluations to keep gradients well-defined.
+evaluations to keep gradients well-defined. The row dots, in-order sums and
+scatters are `spatial`'s fixed-order kernels.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import scatter_rows
 from .errors import GeometryError, ParameterError
 from .regions import region_facets
-from .spatial import nearest_neighbors
+from .spatial import (_interleaved, _row_dots, _squared_length, _sum_in_order,
+                      nearest_neighbors, scatter_rows)
 
 _ZERO_DIST = 1e-12
 
@@ -95,23 +96,6 @@ def _matched(matches, attr):
                              for key in sorted(matches.entries)])
 
 
-def _row_dots(x, y):
-    """Dot product of each row pair of x, y (N, 3): one BLAS dot per row,
-    like the 1-D `x @ y` and np.linalg.norm, so the bits agree with them."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _sum_in_order(values):
-    """0.0 + values[0] + values[1] + ..., added left to right as a Python
-    loop adds them (ndarray.sum() adds pairwise)."""
-    return float(np.cumsum(np.concatenate([[0.0], values]))[-1])
-
-
-def _interleaved(first, second):
-    """Rows first[0], second[0], first[1], second[1], ..."""
-    return np.stack([first, second], axis=1).reshape(-1, *np.shape(first)[1:])
-
-
 def loss_distance_frozen(centers, matches):
     """Distance loss and gradient w.r.t. facet centers with matches frozen.
 
@@ -137,7 +121,7 @@ def loss_normal(normals, matches, with_jacobian=True):
     normals = np.asarray(normals, dtype=float)
     f1, f2 = _matched(matches, "pairs").T
     used = np.unique(np.concatenate([f1, f2]))
-    lengths = np.linalg.norm(normals[used], axis=1)
+    lengths = np.sqrt(_squared_length(normals[used].T))
     bad = used[np.abs(lengths - 1.0) > 1e-6]
     if bad.size:
         raise GeometryError(f"facet {int(bad[0])} normal is not unit length")

@@ -14,6 +14,7 @@ from .contact import (_CONTACT, _MASKED, ContactSegmentation, ContactSignature,
                       ContactState, _key, _pair_states, iou_segmentation,
                       segmentation_from_signature)
 from .errors import GranularityError, ParameterError, check_number, check_settings
+from .spatial import _row_dots
 
 
 class RawPrediction:
@@ -157,10 +158,7 @@ def _passing_pairs(pred, tau_s, thresholds):
     kept = has_landmark.all(axis=1)
     pairs, probs = pairs[kept], probs[kept]
     d = pred.landmarks[pairs[:, 0]] - pred.landmarks[pairs[:, 1]]
-    # a (1, 2) @ (2, 1) product per pair is the BLAS dot that np.linalg.norm
-    # takes, so the distance equals norm(lm1 - lm2) to the bit;
-    # sqrt(d0*d0 + d1*d1), einsum and norm(axis=1) round differently
-    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    dist = np.sqrt(_row_dots(d, d))  # equals norm(lm1 - lm2) to the bit
     return pairs, (probs >= thresholds[:, :1]) & (dist <= thresholds[:, 1:])
 
 

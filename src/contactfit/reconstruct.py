@@ -26,14 +26,13 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .body import (PoseParams, facet_geometry, facet_normal_vjp, pose_mesh,
-                   pose_mesh_vjp, scatter_rows)
+from .body import PoseParams, facet_geometry, facet_normal_vjp, pose_mesh, pose_mesh_vjp
 from .contact import _CONTACT, _key, _norm_pair, _pair_states, _triangle
-from .contact_geometry import (_row_dots, loss_distance, loss_distance_frozen,
-                               loss_normal)
+from .contact_geometry import loss_distance, loss_distance_frozen, loss_normal
 from .errors import (CodecError, GeometryError, OptimizationError, ParameterError,
                      check_number, check_settings)
 from .regions import SELECTION_MODES
+from .spatial import _row_dots, _squared_length, scatter_rows
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def fit_collision_proxies(centers, region_map, min_radius=5e-3):
     regions = np.split(np.asarray(centers)[region_map._facets], region_map._bounds[1:-1])
     for r, pts in enumerate(regions):  # one region at a time: `mean` adds pairwise
         centroids[r] = pts.mean(axis=0)
-        radii[r] = max(float(np.linalg.norm(pts - centroids[r], axis=1).max()),
+        radii[r] = max(float(np.sqrt(_squared_length((pts - centroids[r]).T)).max()),
                        min_radius)
     lo, hi = _triangle(n)
     diff = centroids[lo] - centroids[hi]
@@ -150,7 +149,7 @@ def loss_collision(centers, region_map, proxies, sig=None, with_jacobian=True):
 
     lo, hi = _triangle(n)
     diff = np.take(cents, lo, axis=0) - np.take(cents, hi, axis=0)
-    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+    d = np.sqrt(_squared_length(diff.T))
     pen = np.take(proxies.radii, lo) + np.take(proxies.radii, hi) - d
     active = proxies._kept & (pen > 0.0) & (d > 1e-12)
     if sig is not None:

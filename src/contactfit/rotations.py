@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .spatial import _row_dots
+
 # Below this angle the closed-form coefficients are replaced by their
 # Taylor expansions to avoid 0/0.
 _SMALL_ANGLE = 1e-8
@@ -65,8 +67,7 @@ def _batch_coefficients(rvecs):
     """Per-row angle t, the skew matrices K (N, 3, 3) and K @ K, and the
     small-angle mask of a stack of axis-angle vectors (N, 3)."""
     rvecs = np.asarray(rvecs, dtype=float).reshape(-1, 3)
-    # a dot per row, like the 1-D np.linalg.norm of rodrigues(), so t agrees to the bit
-    t = np.sqrt((rvecs[:, None, :] @ rvecs[:, :, None])[:, 0, 0])
+    t = np.sqrt(_row_dots(rvecs, rvecs))  # as rodrigues()'s 1-D np.linalg.norm, to the bit
     K = np.zeros((len(rvecs), 3, 3))
     K[:, 0, 1], K[:, 0, 2] = -rvecs[:, 2], rvecs[:, 1]
     K[:, 1, 0], K[:, 1, 2] = rvecs[:, 2], -rvecs[:, 0]

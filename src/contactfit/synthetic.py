@@ -25,10 +25,11 @@ import numpy as np
 from .body import (BodyModel, Camera, PoseParams, facet_geometry,
                    joint_transforms, pose_mesh, project)
 from .contact import ContactSignature, ImageSupport
-from .contact_geometry import _interleaved, _row_dots, region_gap
+from .contact_geometry import region_gap
 from .errors import ParameterError
 from .regions import CoarsenMap, RegionMap, region_facets
 from .rotations import axis_angle_from_matrix, rodrigues, rotation_between
+from .spatial import _interleaved, _row_dots
 
 # name, parent, absolute rest position (meters, y-up, z forward, x = subject left)
 _JOINTS = [

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import scatter_rows
 from .contact import ContactState, _pair_states
-from .contact_geometry import _interleaved, _row_dots, _sum_in_order
 from .errors import GranularityError, ParameterError, check_settings
+from .spatial import _interleaved, _row_dots, _sum_in_order, scatter_rows
 
 DEFAULT_SIGMA_SQ_SEP = 0.025
 SIMILARITY_METRICS = ("dot", "neg-sq-euclidean")
