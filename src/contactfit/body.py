@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError, ProjectionError, check_number
+from .errors import (GeometryError, ParameterError, ProjectionError, check_integers,
+                     check_number)
 from .rotations import rodrigues_batch, rodrigues_jacobian, rodrigues_jacobian_batch
 from .spatial import _cross, _squared_length, scatter_rows
 
@@ -48,8 +49,8 @@ class BodyModel:
 
     def __post_init__(self):
         v = np.asarray(self.template_vertices, dtype=float)
-        f = np.asarray(self.faces, dtype=int)
-        parents = np.asarray(self.joint_parents, dtype=int)
+        f = check_integers("faces", self.faces)
+        parents = check_integers("joint_parents", self.joint_parents)
         offsets = np.asarray(self.joint_offsets, dtype=float)
         w = np.asarray(self.skinning_weights, dtype=float)
         reg = np.asarray(self.joint_regressor, dtype=float)

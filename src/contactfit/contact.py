@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import GranularityError, ParameterError, check_number
+from .errors import GranularityError, ParameterError, check_integers, check_number
 
 
 class ContactState(IntEnum):
@@ -27,6 +27,7 @@ _CONTACT, _MASKED = int(ContactState.CONTACT), int(ContactState.MASKED)
 
 
 def _norm_pair(r1, r2, granularity):
+    r1, r2 = check_number("region id", r1, int), check_number("region id", r2, int)
     if r1 == r2:
         raise ParameterError(f"pair ({r1}, {r2}) is on the diagonal")
     if not (0 <= r1 < granularity and 0 <= r2 < granularity):
@@ -63,25 +64,20 @@ def _no_contact(granularity):
 
 def _checked_states(granularity, items):
     """(n, the read-only state vector of the ((r1, r2), state) items). The
-    first invalid item raises: a state that is not a ContactState, a pair on
-    the diagonal or out of range, or a pair given before with another state."""
+    first invalid item raises: a state that is not a ContactState, a region
+    id that is not an integer, a pair on the diagonal or out of range, or a
+    pair given before with another state."""
     n, vector = _no_contact(granularity)
-    r1, r2 = np.asarray([p for p, _ in items], dtype=np.int64).reshape(-1, 2).T
-    states = np.asarray([s for _, s in items], dtype=object)
-    lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
-    ok = ((states == 0) | (states == 1) | (states == 2)) & (r1 != r2) & (lo >= 0) & (hi < n)
-    keys = np.where(ok, _key(lo, hi, n), -1 - np.arange(len(ok)))  # invalid: unique
-    codes = np.where(ok, states, 0).astype(np.int8)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    prev = codes[first][inverse]  # the state each item's pair was first given
-    bad = np.flatnonzero(~ok | (prev != codes))
-    if bad.size:
-        i = bad[0]
-        state = ContactState(states[i])  # raises for a state that is not one
-        key = _norm_pair(int(r1[i]), int(r2[i]), n)  # raises for a bad pair
-        raise ParameterError(f"conflicting states for pair {key}: "
-                             f"{ContactState(prev[i]).name} and {state.name}")
-    vector[keys] = codes
+    states = {}
+    for (r1, r2), state in items:
+        state = ContactState(state)
+        key = _norm_pair(r1, r2, n)
+        prev = states.setdefault(key, state)
+        if prev != state:
+            raise ParameterError(f"conflicting states for pair {key}: "
+                                 f"{prev.name} and {state.name}")
+    lo, hi = np.array(list(states), dtype=np.int64).reshape(-1, 2).T
+    vector[_key(lo, hi, n)] = list(states.values())
     vector.flags.writeable = False
     return n, vector
 
@@ -151,7 +147,7 @@ class ContactSegmentation:
 
     def __init__(self, granularity, states):
         granularity = check_number("granularity", granularity, int)
-        states = np.asarray(states, dtype=int)
+        states = check_integers("segmentation states", states)
         if states.shape != (granularity,):
             raise ParameterError("segmentation length must equal granularity")
         if not ((states >= 0) & (states <= 2)).all():
@@ -173,7 +169,7 @@ class ImageSupport:
         self.granularity = check_number("granularity", granularity, int)
         self.points = {}
         for r, xy in (points or {}).items():
-            r = int(r)
+            r = check_number("support region", r, int)
             if not 0 <= r < self.granularity:
                 raise ParameterError(f"support region {r} out of range")
             xy = (float(xy[0]), float(xy[1]))

@@ -4,6 +4,8 @@ import dataclasses
 import math
 import numbers
 
+import numpy as np
+
 
 class ContactFitError(Exception):
     """Base class for all contactfit errors."""
@@ -52,6 +54,21 @@ def check_number(name, value, kind):
         what = "integer" if kind is int else "number"
         raise ParameterError(f"{name} must be a finite {what}, got {value!r}")
     return kind(value)
+
+
+def check_integers(name, values):
+    """`values` of the field `name` as an int array: `check_number(…, int)`
+    of every entry. An integer array is taken as it is, with no pass over
+    its entries; a bool array is a ParameterError like a bool."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(int, copy=False)
+    flat = values.ravel()
+    if flat.dtype.kind == "f":  # only the non-integral and non-finite entries
+        flat = flat[~(np.isfinite(flat) & (flat == np.trunc(flat)))]
+    for value in flat.tolist():  # bools, strings, objects: every entry
+        check_number(name, value, int)
+    return values.astype(int)
 
 
 def check_settings(settings):

@@ -13,7 +13,8 @@ import numpy as np
 from .contact import (_CONTACT, _MASKED, ContactSegmentation, ContactSignature,
                       ContactState, _key, _pair_states, iou_segmentation,
                       segmentation_from_signature)
-from .errors import GranularityError, ParameterError, check_number, check_settings
+from .errors import (GranularityError, ParameterError, check_integers, check_number,
+                     check_settings)
 from .spatial import _row_dots
 
 
@@ -60,7 +61,7 @@ class RawPrediction:
             raise ParameterError("landmarks must be (granularity, 2)")
         if not ((seg >= 0.0) & (seg <= 1.0)).all():  # NaN is out of range
             raise ParameterError("segmentation probabilities must be in [0,1]")
-        pairs = np.asarray(pairs, dtype=np.int64)
+        pairs = check_integers("pairs", pairs)
         probs = np.asarray(probs, dtype=float)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)

@@ -30,7 +30,7 @@ from .body import PoseParams, facet_geometry, facet_normal_vjp, pose_mesh, pose_
 from .contact import _CONTACT, _key, _norm_pair, _pair_states, _triangle
 from .contact_geometry import loss_distance, loss_distance_frozen, loss_normal
 from .errors import (CodecError, GeometryError, OptimizationError, ParameterError,
-                     check_number, check_settings)
+                     check_integers, check_number, check_settings)
 from .regions import SELECTION_MODES
 from .spatial import _row_dots, _squared_length, scatter_rows
 
@@ -196,7 +196,7 @@ def _keypoint_arrays(model, keypoints, keypoint_joints):
     """keypoints (K, 2) and keypoint_joints (K,) as float and int arrays;
     a check that fails is a ParameterError naming the field."""
     keypoints = np.asarray(keypoints, dtype=float)
-    joint_ids = np.asarray(keypoint_joints, dtype=int)
+    joint_ids = check_integers("keypoint_joints", keypoint_joints)
     if keypoints.ndim != 2 or keypoints.shape[1] != 2:
         raise ParameterError("keypoints must be (K, 2)")
     if len(joint_ids) != len(keypoints):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GranularityError, ParameterError
+from .errors import GranularityError, ParameterError, check_integers, check_number
 from .spatial import nearest_neighbors
 
 GRANULARITIES = (75, 37, 17, 9)
@@ -26,7 +26,9 @@ class RegionMap:
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f2r = np.array(self.facet_to_region, dtype=int)
+        object.__setattr__(self, "granularity",
+                           check_number("granularity", self.granularity, int))
+        f2r = check_integers("facet_to_region", self.facet_to_region).copy()
         if self.granularity < 1:
             raise ParameterError("granularity must be positive")
         if f2r.ndim != 1 or len(f2r) == 0:
@@ -60,7 +62,9 @@ class CoarsenMap:
     mapping: np.ndarray  # (fine,) ints in [0, coarse)
 
     def __post_init__(self):
-        m = np.asarray(self.mapping, dtype=int)
+        for name in ("fine", "coarse"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), int))
+        m = check_integers("mapping", self.mapping)
         object.__setattr__(self, "mapping", m)
         if m.shape != (self.fine,):
             raise ParameterError("mapping must cover every fine region id")

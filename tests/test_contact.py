@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactfit.body import BodyModel, PoseParams
 from contactfit.contact import (ContactSegmentation, ContactSignature,
                                 ContactState, ImageSupport, coarsen_signature,
                                 contact_stats, iou_segmentation,
                                 iou_signature, segmentation_from_signature)
 from contactfit.errors import GranularityError, ParameterError
 from contactfit.inference_filter import RawPrediction
-from contactfit.regions import CoarsenMap
+from contactfit.reconstruct import CollisionProxySet, ReconstructionProblem
+from contactfit.regions import CoarsenMap, RegionMap
+
+from conftest import simple_camera, two_joint_model
 
 C = ContactState.CONTACT
 M = ContactState.MASKED
@@ -274,3 +278,53 @@ class TestSupport:
 def test_granularity_must_be_an_integer(make, granularity):
     with pytest.raises(ParameterError, match="^granularity must be a finite integer"):
         make(granularity)
+
+
+def _two_joint_model_with(**fields):
+    m = two_joint_model()
+    parts = {"template_vertices": m.template_vertices, "faces": m.faces,
+             "joint_parents": m.joint_parents, "joint_offsets": m.joint_offsets,
+             "skinning_weights": m.skinning_weights, "joint_regressor": m.joint_regressor}
+    return BodyModel(**(parts | fields))
+
+
+def _problem_with_keypoint_joints(joints):
+    return ReconstructionProblem(
+        model=two_joint_model(), region_map=RegionMap(2, [0, 1]), camera=simple_camera(),
+        keypoints=np.zeros((2, 2)), keypoint_joints=joints, signature=ContactSignature(2),
+        initial_params=PoseParams.identity(2))
+
+
+# (field named in the message, constructor call); each was truncated or a
+# raw TypeError or ValueError before the ids were checked
+_NON_INTEGER_IDS = {
+    "region-map-fraction": ("facet_to_region", lambda: RegionMap(2, [0, 1.7])),
+    "region-map-nan": ("facet_to_region", lambda: RegionMap(2, [0, np.nan])),
+    "region-map-granularity-fraction": ("granularity", lambda: RegionMap(2.5, [0, 1])),
+    "region-map-granularity-bool": ("granularity", lambda: RegionMap(True, [0, 0])),
+    "region-map-granularity-string": ("granularity", lambda: RegionMap("2", [0, 1])),
+    "coarsen-fraction": ("mapping", lambda: CoarsenMap(2, 1, [0, 0.5])),
+    "coarsen-bool-coarse": ("coarse", lambda: CoarsenMap(2, True, [0, 0])),
+    "segmentation-fraction": ("segmentation states",
+                              lambda: ContactSegmentation(3, [0, 1.7, 2])),
+    "segmentation-bool-array": ("segmentation states",
+                                lambda: ContactSegmentation(3, np.array([True, False, True]))),
+    "support-fraction": ("support region", lambda: ImageSupport(3, {1.5: (0.5, 0.5)})),
+    "support-bool": ("support region", lambda: ImageSupport(3, {True: (0.5, 0.5)})),
+    "signature-fraction": ("region id", lambda: ContactSignature(3, [((0, 1.5), C)])),
+    "prediction-fraction": ("pairs", lambda: RawPrediction(3, {(0, 1.5): 0.5}, np.zeros(3),
+                                                           np.zeros((3, 2)))),
+    "proxies-fraction": ("region id", lambda: CollisionProxySet([1.0, 1.0], {(0.5, 1)})),
+    "keypoint-joints-fraction": ("keypoint_joints",
+                                 lambda: _problem_with_keypoint_joints([0.7, 1])),
+    "body-face-fraction": ("faces", lambda: _two_joint_model_with(
+        faces=two_joint_model().faces + 0.4)),
+    "body-parent-fraction": ("joint_parents", lambda: _two_joint_model_with(
+        joint_parents=[-1, 0.5])),
+}
+
+
+@pytest.mark.parametrize("field, make", _NON_INTEGER_IDS.values(), ids=_NON_INTEGER_IDS)
+def test_ids_must_be_integers(field, make):
+    with pytest.raises(ParameterError, match=f"^{field} must be a finite integer"):
+        make()

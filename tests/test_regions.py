@@ -156,3 +156,10 @@ class TestValidation:
     def test_coarsen_must_be_total(self):
         with pytest.raises(ParameterError):
             CoarsenMap(3, 2, np.array([0, 1]))
+
+    def test_integral_float_ids_become_ints(self):
+        cmap = CoarsenMap(2.0, 1.0, [0.0, 0.0])
+        assert type(cmap.fine) is int and type(cmap.coarse) is int
+        assert cmap.mapping.dtype == int
+        rmap = RegionMap(2.0, [0.0, 1.0])
+        assert type(rmap.granularity) is int and rmap.facet_to_region.dtype == int
