@@ -16,15 +16,19 @@ benchmark's fit-coarse-9 builds them), and the hand-chin scenario at 75
 regions with a 20-step cap. The coarse answers move with the last bit of
 any value on the fit path.
 
-The file also records the numpy version and `platform.machine()`. A
-mismatch on another CPU or numpy is a finding to report, not a reason to
-loosen the test. Regenerating the file changes what "the same answers"
-means; a change that does so declares it with the old and new answers.
+The file also records the numpy version, `platform.machine()`, the
+OpenBLAS kernel numpy runs (its core name) and the SIMD targets numpy found
+on the CPU (the `found` list of `np.show_runtime()`), so a failure names
+the kernel that differs. A mismatch on another CPU, kernel or numpy is a
+finding to report, not a reason to loosen the test. Regenerating the file
+changes what "the same answers" means; a change that does so declares it
+with the old and new answers.
 Regenerate from the root of the repository with:
 
     PYTHONPATH=src python3 tests/test_golden_answers.py
 """
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -144,8 +148,22 @@ def scenario_answer(name):
             "support": {str(r): _hex(xy) for r, xy in bundle.support.points.items()}}
 
 
+def _openblas_core():
+    """The core name of the OpenBLAS kernel numpy runs (say "SkylakeX"), or
+    None where numpy ships no OpenBLAS with that symbol."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def _machine():
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "openblas_core": _openblas_core(),
+            "simd_found": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
 
 
 def _fit_cases():
