@@ -4,8 +4,9 @@ nearest-neighbour scan.
 
 Every answer rests on the order these kernels round in, and
 `tests/golden/answers.json` pins it, so each is written once, here. The
-two dot products round differently (on 200,000 standard-normal 3-vectors
-their squared lengths agreed on 79% of rows), and each term keeps its own:
+two dot products round differently (with the OpenBLAS SkylakeX kernel,
+the squared lengths of 200,000 standard-normal 3-vectors agreed on 79% of
+rows), and each term keeps its own:
 
 - `_squared_length` adds the squares of component rows left to right, as
   np.linalg.norm(axis=1) does: the nearest-neighbour table, the facet
