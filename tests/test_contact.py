@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactfit.body import BodyModel, PoseParams
+from contactfit.body import PoseParams
 from contactfit.contact import (ContactSegmentation, ContactSignature,
                                 ContactState, ImageSupport, coarsen_signature,
                                 contact_stats, iou_segmentation,
@@ -280,14 +282,6 @@ def test_granularity_must_be_an_integer(make, granularity):
         make(granularity)
 
 
-def _two_joint_model_with(**fields):
-    m = two_joint_model()
-    parts = {"template_vertices": m.template_vertices, "faces": m.faces,
-             "joint_parents": m.joint_parents, "joint_offsets": m.joint_offsets,
-             "skinning_weights": m.skinning_weights, "joint_regressor": m.joint_regressor}
-    return BodyModel(**(parts | fields))
-
-
 def _problem_with_keypoint_joints(joints):
     return ReconstructionProblem(
         model=two_joint_model(), region_map=RegionMap(2, [0, 1]), camera=simple_camera(),
@@ -317,10 +311,10 @@ _NON_INTEGER_IDS = {
     "proxies-fraction": ("region id", lambda: CollisionProxySet([1.0, 1.0], {(0.5, 1)})),
     "keypoint-joints-fraction": ("keypoint_joints",
                                  lambda: _problem_with_keypoint_joints([0.7, 1])),
-    "body-face-fraction": ("faces", lambda: _two_joint_model_with(
-        faces=two_joint_model().faces + 0.4)),
-    "body-parent-fraction": ("joint_parents", lambda: _two_joint_model_with(
-        joint_parents=[-1, 0.5])),
+    "body-face-fraction": ("faces", lambda: dataclasses.replace(
+        two_joint_model(), faces=two_joint_model().faces + 0.4)),
+    "body-parent-fraction": ("joint_parents", lambda: dataclasses.replace(
+        two_joint_model(), joint_parents=[-1, 0.5])),
 }
 
 
