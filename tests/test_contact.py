@@ -294,6 +294,7 @@ def _problem_with_keypoint_joints(joints):
 _NON_INTEGER_IDS = {
     "region-map-fraction": ("facet_to_region", lambda: RegionMap(2, [0, 1.7])),
     "region-map-nan": ("facet_to_region", lambda: RegionMap(2, [0, np.nan])),
+    "region-map-bool-in-list": ("facet_to_region", lambda: RegionMap(2, [0, True])),
     "region-map-granularity-fraction": ("granularity", lambda: RegionMap(2.5, [0, 1])),
     "region-map-granularity-bool": ("granularity", lambda: RegionMap(True, [0, 0])),
     "region-map-granularity-string": ("granularity", lambda: RegionMap("2", [0, 1])),
@@ -308,6 +309,8 @@ _NON_INTEGER_IDS = {
     "signature-fraction": ("region id", lambda: ContactSignature(3, [((0, 1.5), C)])),
     "prediction-fraction": ("pairs", lambda: RawPrediction(3, {(0, 1.5): 0.5}, np.zeros(3),
                                                            np.zeros((3, 2)))),
+    "prediction-bool-in-pair": ("pairs", lambda: RawPrediction(3, {(0, True): 0.5}, np.zeros(3),
+                                                               np.zeros((3, 2)))),
     "proxies-fraction": ("region id", lambda: CollisionProxySet([1.0, 1.0], {(0.5, 1)})),
     "keypoint-joints-fraction": ("keypoint_joints",
                                  lambda: _problem_with_keypoint_joints([0.7, 1])),
