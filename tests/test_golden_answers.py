@@ -160,7 +160,10 @@ def _openblas_core():
 
 
 def _machine():
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     return {"numpy": np.__version__, "machine": platform.machine(),
             "openblas_core": _openblas_core(),
             "simd_found": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
